@@ -6,10 +6,16 @@ Usage:
 
 Both inputs are google-benchmark's JSON format (--benchmark_format=json or
 --benchmark_out_format=json), with or without repetitions. When a file
-contains repetition aggregates, the `mean` aggregate is used; otherwise the
-raw per-benchmark entry is. Throughput is items_per_second when the
-benchmark reports it, else bytes_per_second, else runs/second derived from
-real_time.
+contains repetition aggregates, the `median` aggregate is used (else the
+`mean`); otherwise the raw per-benchmark entry is. Throughput is
+items_per_second when the benchmark reports it, else bytes_per_second, else
+runs/second derived from real_time.
+
+A speedup is only printed when it is resolved: both sides carry a `median`
+and a `stddev` aggregate and the two median +/- stddev intervals do not
+overlap. Otherwise it prints as "unresolved" — overlapping intervals, or a
+side without repetitions whose spread is unknown, cannot tell a win from
+noise.
 
 With --out, also writes a combined JSON artifact holding the baseline and
 new numbers plus the speedup per benchmark (the committed
@@ -23,31 +29,67 @@ import sys
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+# Throughput fields in preference order, with the unit each is printed in.
+_THROUGHPUT_FIELDS = (("events_per_second", "events/s"),
+                      ("items_per_second", "items/s"),
+                      ("bytes_per_second", "bytes/s"))
+
+
 def _throughput(entry):
     """(value, metric-name) for one benchmark entry."""
-    if "events_per_second" in entry:
-        return entry["events_per_second"], "events/s"
-    if "items_per_second" in entry:
-        return entry["items_per_second"], "items/s"
-    if "bytes_per_second" in entry:
-        return entry["bytes_per_second"], "bytes/s"
+    for field, metric in _THROUGHPUT_FIELDS:
+        if field in entry:
+            return entry[field], metric
     ns = entry["real_time"] * _TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
     return (1e9 / ns if ns else 0.0), "runs/s"
 
 
+def _interval(entry, stddev):
+    """(lo, hi) throughput interval of median +/- stddev, or None."""
+    if stddev is None:
+        return None
+    for field, _ in _THROUGHPUT_FIELDS:
+        if field in entry:
+            return entry[field] - stddev[field], entry[field] + stddev[field]
+    # runs/s is 1/real_time: map the time interval through the reciprocal.
+    unit = _TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
+    t = entry["real_time"] * unit
+    sd = stddev["real_time"] * unit
+    return (1e9 / (t + sd) if t + sd > 0 else 0.0,
+            1e9 / (t - sd) if t - sd > 0 else float("inf"))
+
+
 def load(path):
-    """{benchmark-name: entry}, preferring the `mean` aggregate."""
+    """{benchmark-name: (entry, stddev-entry or None)}.
+
+    The entry is the `median` aggregate when present, else the `mean`, else
+    the raw run; the stddev entry is the `stddev` aggregate when present.
+    """
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    raw, by_aggregate = {}, {"median": {}, "mean": {}, "stddev": {}}
     for entry in doc.get("benchmarks", []):
         name = entry.get("run_name", entry.get("name", ""))
         if entry.get("run_type") == "aggregate":
-            if entry.get("aggregate_name") == "mean":
-                out[name] = entry
+            by_aggregate.get(entry.get("aggregate_name"), {})[name] = entry
         else:
-            out.setdefault(name, entry)
-    return out
+            raw.setdefault(name, entry)
+    picked = {**raw, **by_aggregate["mean"], **by_aggregate["median"]}
+    return {name: (entry, by_aggregate["stddev"].get(name))
+            for name, entry in picked.items()}
+
+
+def speedup(base, new):
+    """(ratio, resolved) of new over base throughput; each side is a
+    (entry, stddev-entry) pair from load()."""
+    base_v, _ = _throughput(base[0])
+    new_v, _ = _throughput(new[0])
+    ratio = new_v / base_v if base_v else float("inf")
+    a = _interval(*base)
+    b = _interval(*new)
+    resolved = a is not None and b is not None and (a[1] < b[0] or
+                                                    b[1] < a[0])
+    return ratio, resolved
 
 
 def environment_header(path):
@@ -80,34 +122,33 @@ def environment_header(path):
 
 
 def spawn_speedups(run):
-    """{name: speedup} vs the baseline-variant sibling within one run.
+    """{name: (ratio, resolved)} vs the baseline-variant sibling in one run.
 
     Benchmarks come in variant families measured in the same invocation:
-    the multi-stage plan benchmarks as Spawn/Pool/Pipelined (per-stage
-    thread-spawn baseline vs pool scheduling), the simulation-kernel
+    the multi-stage plan executor against its per-stage thread-spawn
+    baseline (MultiStagePlan vs MultiStagePlanSpawn), the simulation-kernel
     benchmarks as Heap/Calendar (binary-heap baseline vs calendar-queue
-    scheduler), and the intra-operator knob variants as Radix/Bloom/MorselN
-    suffixes whose scalar sibling is the same name with the suffix dropped.
-    For each non-baseline variant this reports how much faster it runs than
-    its baseline sibling of the same invocation, so the artifact records
-    the win even when the committed cross-run baseline predates these
-    benchmarks.
+    scheduler), and the intra-operator MorselN variants whose scalar sibling
+    is the same name with the suffix dropped. For each non-baseline variant
+    this reports how much faster it runs than its baseline sibling of the
+    same invocation, so the artifact records the comparison even when the
+    committed cross-run baseline predates these benchmarks.
     """
-    pairs = (("Pool", "Spawn"), ("Pipelined", "Spawn"),
-             ("Calendar", "Heap"),
-             ("Radix", ""), ("Bloom", ""), ("Morsel2", ""), ("Morsel4", ""))
+    pairs = (("MultiStagePlan/", "MultiStagePlanSpawn/"),
+             ("Calendar", "Heap"), ("Morsel2", ""), ("Morsel4", ""))
     out = {}
     for name, entry in run.items():
         for variant, baseline in pairs:
             if variant in name:
                 sibling = name.replace(variant, baseline)
                 if sibling in run and sibling != name:
-                    value, _ = _throughput(entry)
-                    base, _ = _throughput(run[sibling])
-                    if base:
-                        out[name] = value / base
+                    out[name] = speedup(run[sibling], entry)
                 break
     return out
+
+
+def fmt_speedup(ratio, resolved):
+    return f"{ratio:6.2f}x" if resolved else "unresolved"
 
 
 def fmt(value):
@@ -136,31 +177,37 @@ def main(argv):
 
     def annotate(name):
         if name in vs_spawn:
-            return f"  [{vs_spawn[name]:.2f}x vs baseline]"
+            return f"  [{fmt_speedup(*vs_spawn[name]).strip()} vs baseline]"
         return ""
+
+    def vs_spawn_field(name):
+        if name not in vs_spawn:
+            return None
+        ratio, resolved = vs_spawn[name]
+        return round(ratio, 4) if resolved else "unresolved"
 
     width = max(len(n) for n in new)
     print(f"{'benchmark':<{width}}  {'old':>10}  {'new':>10}  speedup")
     combined = []
     for name in shared:
-        old_v, metric = _throughput(old[name])
-        new_v, _ = _throughput(new[name])
-        speedup = new_v / old_v if old_v else float("inf")
+        old_v, metric = _throughput(old[name][0])
+        new_v, _ = _throughput(new[name][0])
+        ratio, resolved = speedup(old[name], new[name])
         print(f"{name:<{width}}  {fmt(old_v):>10}  {fmt(new_v):>10}  "
-              f"{speedup:6.2f}x  ({metric}){annotate(name)}")
+              f"{fmt_speedup(ratio, resolved):>10}  ({metric})"
+              f"{annotate(name)}")
         combined.append({
             "name": name,
             "metric": metric,
             "baseline": old_v,
             "after": new_v,
-            "speedup": round(speedup, 4),
-            "speedup_vs_spawn": round(vs_spawn[name], 4)
-            if name in vs_spawn else None,
+            "speedup": round(ratio, 4) if resolved else "unresolved",
+            "speedup_vs_spawn": vs_spawn_field(name),
         })
     only_new = sorted(set(new) - set(old))
     for name in only_new:
-        new_v, metric = _throughput(new[name])
-        print(f"{name:<{width}}  {'-':>10}  {fmt(new_v):>10}      new  "
+        new_v, metric = _throughput(new[name][0])
+        print(f"{name:<{width}}  {'-':>10}  {fmt(new_v):>10}  {'new':>10}  "
               f"({metric}){annotate(name)}")
         combined.append({
             "name": name,
@@ -168,8 +215,7 @@ def main(argv):
             "baseline": None,
             "after": new_v,
             "speedup": None,
-            "speedup_vs_spawn": round(vs_spawn[name], 4)
-            if name in vs_spawn else None,
+            "speedup_vs_spawn": vs_spawn_field(name),
         })
 
     if args.out:

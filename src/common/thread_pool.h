@@ -32,8 +32,9 @@ class TaskGroup;
 /// so fatal CACKLE_CHECK messages from pooled work identify their origin.
 ///
 /// The pool never aborts tasks and has no notion of priorities or
-/// cancellation — callers sequence work by submitting successor tasks from
-/// inside predecessors (see PlanExecutor's DAG pipelining).
+/// cancellation — callers sequence work in TaskGroup waves: submit one
+/// phase's tasks, Wait(), then submit the next (see PlanExecutor, which runs
+/// each stage's task, partition and concat phases this way).
 ///
 /// Thread safety: all public methods are safe to call from any thread.
 class ThreadPool {

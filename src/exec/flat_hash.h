@@ -50,8 +50,7 @@ class FlatMap64 {
   }
 
   /// FindOrInsert with the caller-supplied hash (must equal Mix64(key));
-  /// lets batch loops compute each hash once and share it with radix
-  /// partitioning and bloom filters.
+  /// lets batch loops compute each hash once and share it with Prefetch.
   int64_t FindOrInsertHashed(uint64_t key, uint64_t hash, int64_t fresh,
                              bool* inserted) {
     size_t idx = hash & mask_;

@@ -1,9 +1,7 @@
 #include "exec/plan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
@@ -17,7 +15,7 @@
 namespace cackle::exec {
 
 PlanExecutor::PlanExecutor(int num_threads)
-    : PlanExecutor(ExecutorOptions{num_threads, true, true}) {}
+    : PlanExecutor(ExecutorOptions{num_threads}) {}
 
 PlanExecutor::PlanExecutor(const ExecutorOptions& options)
     : options_(options) {
@@ -77,24 +75,23 @@ const StagePlan& ValidatePlan(const StagePlan& plan) {
 
 namespace {
 
-/// One plan execution: per-stage runtime state plus the phase functions
-/// every driver (serial, pooled-barrier, pooled-pipelined) runs in the same
-/// per-slot order, which is what keeps results bit-identical.
+/// One plan execution: per-stage runtime state plus the phase bodies the
+/// driver runs in fixed per-slot order, which is what keeps results
+/// bit-identical at every thread count.
 ///
-/// A stage flows through three phases:
+/// Stages run one at a time in plan order, each through three phases:
 ///   task phase      RunTask(i, t)        -> task_outputs[t]
 ///   partition phase PartitionTask(i, t)  -> parts[t][p]     (multi-part)
 ///                   or one GatherConcat(i)                  (single-part)
 ///   concat phase    ConcatPartition(i, p)-> outputs[i].partitions[p]
 /// followed by FinishStage(i) bookkeeping. Upstream inputs are only read
-/// during the task phase, so consumer refcounts drop when it ends and a
+/// during the task phase, so consumer counts drop when it ends and a
 /// fully-consumed stage's partitions are freed immediately.
 class PlanRun {
  public:
   PlanRun(const StagePlan& plan, const ExecutorOptions& options,
           PlanRunStats* stats)
       : plan_(plan),
-        options_(options),
         stats_(stats),
         outputs_(plan.stages.size()),
         stages_(plan.stages.size()) {
@@ -106,42 +103,49 @@ class PlanRun {
     for (size_t i = 0; i < plan_.stages.size(); ++i) {
       const PlanStage& stage = plan_.stages[i];
       StageState& state = stages_[i];
-      state.deps_left.store(static_cast<int>(stage.deps.size()),
-                            std::memory_order_relaxed);
-      state.tasks_left.store(stage.num_tasks, std::memory_order_relaxed);
       state.task_outputs.resize(static_cast<size_t>(stage.num_tasks));
       state.task_micros.assign(static_cast<size_t>(stage.num_tasks), 0);
       for (const int dep : stage.deps) {
-        stages_[static_cast<size_t>(dep)].consumers_left.fetch_add(
-            1, std::memory_order_relaxed);
-        consumers_[dep].push_back(static_cast<int>(i));
+        ++stages_[static_cast<size_t>(dep)].consumers_left;
       }
       if (stats_ != nullptr) {
         stats_->stages[i].label = stage.label;
         stats_->stages[i].num_tasks = stage.num_tasks;
       }
     }
-  }
-
-  Table Run(ThreadPool* pool) {
-    op_context_.pool = pool;
-    op_context_.morsel_rows = options_.morsel_rows;
-    op_context_.radix_bits = options_.radix_bits;
-    op_context_.bloom_pushdown = options_.enable_bloom_pushdown;
+    op_context_.morsel_rows = options.morsel_rows;
     op_context_.report_scratch_bytes = [this](int64_t bytes) {
       ReportScratch(bytes);
     };
-    if (pool == nullptr) {
-      RunSerial();
-    } else if (options_.pipeline) {
-      RunPipelined(pool);
-    } else {
-      RunBarrier(pool);
+  }
+
+  /// Runs every stage; `pool` null runs each phase inline in index order.
+  Table Run(ThreadPool* pool) {
+    op_context_.pool = pool;
+    for (size_t i = 0; i < plan_.stages.size(); ++i) {
+      const PlanStage& stage = plan_.stages[i];
+      const std::string context = plan_.name + "/" + stage.label;
+      RunPhase(pool, context, stage.num_tasks, [this, i](int t) {
+        RunTask(i, t);
+      });
+      ReleaseInputs(i);
+      PrepareShuffle(i);
+      if (stage.output_partitions == 1) {
+        GatherConcat(i);
+      } else {
+        RunPhase(pool, context, stage.num_tasks, [this, i](int t) {
+          PartitionTask(i, t);
+        });
+        RunPhase(pool, context, stage.output_partitions, [this, i](int p) {
+          ConcatPartition(i, p);
+        });
+      }
+      FinishStage(i);
     }
     if (stats_ != nullptr) {
-      // All pool tasks have completed (the run drivers wait), but the
-      // analysis cannot see that quiescence; take the lock for the final
-      // read rather than annotating it away.
+      // Every phase has been waited for, but the analysis cannot see that
+      // quiescence; take the lock for the final read rather than annotating
+      // it away.
       MutexLock lock(&residency_mu_);
       stats_->peak_resident_bytes = peak_resident_;
     }
@@ -151,21 +155,34 @@ class PlanRun {
 
  private:
   struct StageState {
-    std::atomic<int> deps_left{0};
-    std::atomic<int> tasks_left{0};
-    std::atomic<int> partitions_left{0};
-    std::atomic<int> concats_left{0};
-    std::atomic<int> consumers_left{0};
+    /// Stages that still have to read this stage's output. Only the driving
+    /// thread touches it, between phases.
+    int consumers_left = 0;
     std::vector<Table> task_outputs;
     /// parts[t][p]: task t's hash partition p (multi-partition shuffle).
     std::vector<std::vector<Table>> parts;
     std::vector<int64_t> task_micros;
     /// Bytes this stage's finished partitions hold (set by FinishStage,
-    /// read under residency_mu_ when the stage is freed).
+    /// subtracted from the resident total when the stage is freed).
     int64_t resident_bytes = 0;
   };
 
-  // --- phase bodies (identical work in every driver) -----------------------
+  /// Runs `fn(0) .. fn(n - 1)` and returns once all have finished: as one
+  /// TaskGroup wave on the pool (the caller helps while waiting), or inline
+  /// in index order without one. Each slot writes only its own index.
+  template <typename Fn>
+  static void RunPhase(ThreadPool* pool, const std::string& context, int n,
+                       const Fn& fn) {
+    if (pool == nullptr) {
+      for (int k = 0; k < n; ++k) fn(k);
+      return;
+    }
+    TaskGroup group(pool, context);
+    for (int k = 0; k < n; ++k) group.Submit([&fn, k] { fn(k); });
+    group.Wait();
+  }
+
+  // --- phase bodies ----------------------------------------------------------
 
   void RunTask(size_t i, int t) {
     const PlanStage& stage = plan_.stages[i];
@@ -220,11 +237,10 @@ class PlanRun {
     state.task_outputs.clear();
   }
 
-  /// Folds one operator's transient scratch high-water (radix partition
-  /// lists, bloom filters, packed-key and emit buffers) into the peak
-  /// residency figure. Concurrent operators each raise the peak against the
-  /// same resident base, which understates overlap but never hides an
-  /// operator's footprint entirely.
+  /// Folds one operator's transient scratch high-water (packed keys, hash
+  /// tables, emit buffers) into the peak residency figure. Concurrent
+  /// operators each raise the peak against the same resident base, which
+  /// understates overlap but never hides an operator's footprint entirely.
   void ReportScratch(int64_t bytes) {
     MutexLock lock(&residency_mu_);
     peak_resident_ = std::max(peak_resident_, current_resident_ + bytes);
@@ -234,15 +250,13 @@ class PlanRun {
   /// once its task phase — the only phase that reads inputs — completes).
   void ReleaseInputs(size_t i) {
     for (const int dep : plan_.stages[i].deps) {
-      StageState& up = stages_[static_cast<size_t>(dep)];
-      if (up.consumers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (--stages_[static_cast<size_t>(dep)].consumers_left == 0) {
         FreeStageOutput(static_cast<size_t>(dep));
       }
     }
   }
 
   void FreeStageOutput(size_t i) {
-    if (!options_.release_stage_outputs) return;
     if (i + 1 == plan_.stages.size()) return;  // the plan result
     {
       MutexLock lock(&residency_mu_);
@@ -276,7 +290,7 @@ class PlanRun {
       sstats.output_rows = rows;
     }
     // A stage nothing consumes (and that isn't the result) can go now.
-    if (state.consumers_left.load(std::memory_order_acquire) == 0) {
+    if (state.consumers_left == 0) {
       FreeStageOutput(i);
     }
   }
@@ -294,144 +308,16 @@ class PlanRun {
     }
   }
 
-  // --- drivers -------------------------------------------------------------
-
-  void RunSerial() {
-    for (size_t i = 0; i < plan_.stages.size(); ++i) {
-      const PlanStage& stage = plan_.stages[i];
-      for (int t = 0; t < stage.num_tasks; ++t) RunTask(i, t);
-      ReleaseInputs(i);
-      PrepareShuffle(i);
-      if (stage.output_partitions == 1) {
-        GatherConcat(i);
-      } else {
-        for (int t = 0; t < stage.num_tasks; ++t) PartitionTask(i, t);
-        for (int p = 0; p < stage.output_partitions; ++p) {
-          ConcatPartition(i, p);
-        }
-      }
-      FinishStage(i);
-    }
-  }
-
-  void RunBarrier(ThreadPool* pool) {
-    for (size_t i = 0; i < plan_.stages.size(); ++i) {
-      const PlanStage& stage = plan_.stages[i];
-      TaskGroup group(pool, plan_.name + "/" + stage.label);
-      for (int t = 0; t < stage.num_tasks; ++t) {
-        group.Submit([this, i, t] { RunTask(i, t); });
-      }
-      group.Wait();
-      ReleaseInputs(i);
-      PrepareShuffle(i);
-      if (stage.output_partitions == 1) {
-        GatherConcat(i);
-      } else {
-        for (int t = 0; t < stage.num_tasks; ++t) {
-          group.Submit([this, i, t] { PartitionTask(i, t); });
-        }
-        group.Wait();
-        for (int p = 0; p < stage.output_partitions; ++p) {
-          group.Submit([this, i, p] { ConcatPartition(i, p); });
-        }
-        group.Wait();
-      }
-      FinishStage(i);
-    }
-  }
-
-  /// DAG-pipelined: a stage is scheduled the moment its last dependency
-  /// finishes its shuffle, so independent stages overlap. All chaining
-  /// happens inside running tasks (successors are submitted before the
-  /// current task retires), so the single plan-wide group's outstanding
-  /// count only reaches zero when the whole DAG has drained.
-  void RunPipelined(ThreadPool* pool) {
-    group_ = std::make_unique<TaskGroup>(pool, plan_.name);
-    for (size_t i = 0; i < plan_.stages.size(); ++i) {
-      if (plan_.stages[i].deps.empty()) ScheduleStage(i);
-    }
-    group_->Wait();
-    group_.reset();
-  }
-
-  void ScheduleStage(size_t i) {
-    for (int t = 0; t < plan_.stages[i].num_tasks; ++t) {
-      group_->Submit([this, i, t] {
-        RunTask(i, t);
-        OnTaskDone(i);
-      });
-    }
-  }
-
-  void OnTaskDone(size_t i) {
-    StageState& state = stages_[i];
-    if (state.tasks_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    ReleaseInputs(i);
-    PrepareShuffle(i);
-    const PlanStage& stage = plan_.stages[i];
-    if (stage.output_partitions == 1) {
-      GatherConcat(i);
-      CompleteStage(i);
-      return;
-    }
-    state.partitions_left.store(stage.num_tasks, std::memory_order_release);
-    for (int t = 0; t < stage.num_tasks; ++t) {
-      group_->Submit([this, i, t] {
-        PartitionTask(i, t);
-        OnPartitionDone(i);
-      });
-    }
-  }
-
-  void OnPartitionDone(size_t i) {
-    StageState& state = stages_[i];
-    if (state.partitions_left.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      return;
-    }
-    const int partitions = plan_.stages[i].output_partitions;
-    state.concats_left.store(partitions, std::memory_order_release);
-    for (int p = 0; p < partitions; ++p) {
-      group_->Submit([this, i, p] {
-        ConcatPartition(i, p);
-        OnConcatDone(i);
-      });
-    }
-  }
-
-  void OnConcatDone(size_t i) {
-    if (stages_[i].concats_left.fetch_sub(1, std::memory_order_acq_rel) ==
-        1) {
-      CompleteStage(i);
-    }
-  }
-
-  void CompleteStage(size_t i) {
-    FinishStage(i);
-    const auto it = consumers_.find(static_cast<int>(i));
-    if (it == consumers_.end()) return;
-    for (const int consumer : it->second) {
-      StageState& down = stages_[static_cast<size_t>(consumer)];
-      if (down.deps_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        ScheduleStage(static_cast<size_t>(consumer));
-      }
-    }
-  }
-
   const StagePlan& plan_;
-  const ExecutorOptions& options_;
   PlanRunStats* stats_;
   std::vector<StageOutput> outputs_;
   std::vector<StageState> stages_;
-  /// Stage -> dependent stage ids (one entry per dep edge, duplicates kept
-  /// so deps_left/consumers_left stay consistent with repeated deps).
-  std::map<int, std::vector<int>> consumers_;
-  std::unique_ptr<TaskGroup> group_;
   /// Installed thread-locally around every task body (ScopedOpExecContext)
   /// so operators see the executor's intra-operator knobs.
   OpExecContext op_context_;
   /// Residency accounting is the one piece of PlanRun state concurrent
-  /// tasks mutate outside per-index slots; everything else merges in fixed
-  /// index order (see the class comment on determinism).
+  /// tasks mutate outside per-index slots (operators report scratch from
+  /// inside a phase); everything else merges in fixed index order.
   Mutex residency_mu_;
   int64_t current_resident_ CACKLE_GUARDED_BY(residency_mu_) = 0;
   int64_t peak_resident_ CACKLE_GUARDED_BY(residency_mu_) = 0;

@@ -70,6 +70,9 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   size_t position() const { return pos_; }
+  /// Unread bytes: an upper bound on how many more values any decode loop
+  /// can produce, so untrusted counts never size an allocation beyond it.
+  size_t remaining() const { return bytes_.size() - pos_; }
 
   uint8_t GetU8() {
     if (!Require(1)) return 0;
@@ -125,8 +128,10 @@ class ByteReader {
   }
 
  private:
+  /// Written as `n > size - pos` (pos never passes size) so a hostile
+  /// length near 2^64 cannot wrap the bound.
   bool Require(uint64_t n) {
-    if (!ok_ || pos_ + n > bytes_.size()) {
+    if (!ok_ || n > bytes_.size() - pos_) {
       ok_ = false;
       return false;
     }
@@ -316,11 +321,30 @@ struct ChunkStats {
   std::string str_max;
 };
 
+/// True when the writer emits `enc` for columns of `type`. Anything else
+/// (an unknown byte, or say kStringPlain on an int64 column) would decode
+/// into the wrong column kind, so readers reject it up front.
+bool EncodingMatchesType(Encoding enc, DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      return enc == Encoding::kInt64Plain || enc == Encoding::kInt64Rle ||
+             enc == Encoding::kInt64Delta;
+    case DataType::kFloat64:
+      return enc == Encoding::kFloat64Plain;
+    case DataType::kString:
+      return enc == Encoding::kStringPlain || enc == Encoding::kStringDict;
+  }
+  return false;
+}
+
 /// Reads a chunk header; leaves the reader positioned at the payload.
 /// Returns encoding + payload size via out-params.
-bool ReadChunkHeader(ByteReader* reader, DataType type, Encoding* enc,
-                     ChunkStats* stats, uint64_t* payload_size) {
+Status ReadChunkHeader(ByteReader* reader, DataType type, Encoding* enc,
+                       ChunkStats* stats, uint64_t* payload_size) {
   *enc = static_cast<Encoding>(reader->GetU8());
+  if (reader->ok() && !EncodingMatchesType(*enc, type)) {
+    return Status::InvalidArgument("chunk encoding does not match its column");
+  }
   switch (type) {
     case DataType::kInt64: {
       stats->num_min = static_cast<double>(reader->GetI64());
@@ -337,15 +361,21 @@ bool ReadChunkHeader(ByteReader* reader, DataType type, Encoding* enc,
       break;
   }
   *payload_size = reader->GetU64();
-  return reader->ok();
+  if (!reader->ok()) return Status::InvalidArgument("truncated chunk header");
+  return Status::OK();
 }
 
+/// Decodes `rows` values of a chunk whose encoding already matches `type`.
+/// Every loop stops as soon as the reader fails, so a truncated chunk with
+/// a hostile row count costs no more than the bytes actually present.
 Column DecodeChunk(ByteReader* reader, DataType type, Encoding enc,
                    int64_t rows) {
   Column col(type);
   switch (enc) {
     case Encoding::kInt64Plain:
-      for (int64_t i = 0; i < rows; ++i) col.AppendInt(reader->GetI64());
+      for (int64_t i = 0; i < rows && reader->ok(); ++i) {
+        col.AppendInt(reader->GetI64());
+      }
       break;
     case Encoding::kInt64Rle: {
       int64_t produced = 0;
@@ -360,27 +390,39 @@ Column DecodeChunk(ByteReader* reader, DataType type, Encoding enc,
     }
     case Encoding::kInt64Delta: {
       int64_t prev = 0;
-      for (int64_t i = 0; i < rows; ++i) {
-        prev += UnZigZag(reader->GetVarint());
+      for (int64_t i = 0; i < rows && reader->ok(); ++i) {
+        // Wrapping add: a hostile delta must not overflow a signed value.
+        prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
+                                    static_cast<uint64_t>(
+                                        UnZigZag(reader->GetVarint())));
         col.AppendInt(prev);
       }
       break;
     }
     case Encoding::kFloat64Plain:
-      for (int64_t i = 0; i < rows; ++i) col.AppendDouble(reader->GetF64());
+      for (int64_t i = 0; i < rows && reader->ok(); ++i) {
+        col.AppendDouble(reader->GetF64());
+      }
       break;
     case Encoding::kStringPlain:
-      for (int64_t i = 0; i < rows; ++i) col.AppendString(reader->GetString());
+      for (int64_t i = 0; i < rows && reader->ok(); ++i) {
+        col.AppendString(reader->GetString());
+      }
       break;
     case Encoding::kStringDict: {
+      // Every dictionary entry and code takes at least one byte, so the
+      // unread byte count caps both reservations.
       const uint64_t dict_size = reader->GetVarint();
       std::vector<std::string> dict;
-      dict.reserve(dict_size);
-      for (uint64_t i = 0; i < dict_size; ++i) dict.push_back(reader->GetString());
+      dict.reserve(std::min<uint64_t>(dict_size, reader->remaining()));
+      for (uint64_t i = 0; i < dict_size && reader->ok(); ++i) {
+        dict.push_back(reader->GetString());
+      }
       std::vector<int32_t> codes;
-      codes.reserve(static_cast<size_t>(rows));
+      codes.reserve(std::min<uint64_t>(static_cast<uint64_t>(rows),
+                                       reader->remaining()));
       bool codes_valid = true;
-      for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t i = 0; i < rows && reader->ok(); ++i) {
         const uint64_t code = reader->GetVarint();
         if (code < dict.size()) {
           col.AppendString(dict[code]);
@@ -593,10 +635,8 @@ StatusOr<ScanFileResult> ScanTableFile(const std::string& bytes,
       Encoding enc;
       ChunkStats stats;
       uint64_t payload = 0;
-      if (!ReadChunkHeader(&reader, header.schema[c].type, &enc, &stats,
-                           &payload)) {
-        return Status::InvalidArgument("truncated chunk header");
-      }
+      CACKLE_RETURN_IF_ERROR(ReadChunkHeader(&reader, header.schema[c].type,
+                                             &enc, &stats, &payload));
       // Statistics-based skipping: if any pushed-down range cannot match
       // this chunk, the whole stripe is skipped.
       if (!skip) {

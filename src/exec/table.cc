@@ -262,7 +262,7 @@ int64_t Column::EstimateBytes() const {
         // The sidecar is real resident memory: 4 bytes/row of codes plus
         // the dictionary's own strings. Counting it keeps the executor's
         // peak-residency accounting honest now that operators report their
-        // scratch (radix partitions, bloom filters) the same way.
+        // scratch (hash tables, emit buffers) the same way.
         bytes += static_cast<int64_t>(codes_.size()) * 4;
         for (const std::string& s : dict_->values()) {
           bytes += 4 + static_cast<int64_t>(s.size());

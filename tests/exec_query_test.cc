@@ -450,24 +450,19 @@ TEST(ProfilerTest, PooledProfilingMatchesSerialAndExportsPoolMetrics) {
 }
 
 TEST(PlanExecutorTest, ReleasingStageOutputsLowersPeakResidency) {
-  // Q8 is the deepest TPC-H plan in the suite; with release enabled the
-  // executor frees each stage's shuffle partitions after the last consumer
-  // reads them, so peak resident bytes must drop versus keep-everything.
-  const Catalog& cat = TestCatalog();
-  ExecutorOptions keep;
-  keep.release_stage_outputs = false;
-  ExecutorOptions release;
-  release.release_stage_outputs = true;
-  PlanExecutor keeper(keep);
-  PlanExecutor releaser(release);
-  PlanRunStats keep_stats, release_stats;
-  const Table a =
-      keeper.Execute(BuildTpchPlan(8, cat, PlanConfig{4}), &keep_stats);
-  const Table b =
-      releaser.Execute(BuildTpchPlan(8, cat, PlanConfig{4}), &release_stats);
-  ExpectTablesNear(a, b, 0.0);  // same serial execution, exact equality
-  EXPECT_GT(release_stats.peak_resident_bytes, 0);
-  EXPECT_LT(release_stats.peak_resident_bytes, keep_stats.peak_resident_bytes);
+  // Q8 is the deepest TPC-H plan in the suite. The executor frees each
+  // stage's shuffle partitions after the last consumer reads them, so peak
+  // resident bytes must stay below the sum of every stage's output bytes —
+  // what keeping every stage output alive to the end would hold.
+  PlanExecutor executor;
+  PlanRunStats stats;
+  executor.Execute(BuildTpchPlan(8, TestCatalog(), PlanConfig{4}), &stats);
+  int64_t keep_everything_bytes = 0;
+  for (const StageStats& stage : stats.stages) {
+    keep_everything_bytes += stage.output_bytes;
+  }
+  EXPECT_GT(stats.peak_resident_bytes, 0);
+  EXPECT_LT(stats.peak_resident_bytes, keep_everything_bytes);
 }
 
 TEST(ProfilerTest, RoundTripsThroughSerialization) {

@@ -94,12 +94,49 @@ TEST(StorageTest, InspectReportsMetadata) {
   EXPECT_EQ(info->schema[3].name, "tag");
 }
 
+// Byte offset of the first stripe's row count in a WriteTableFile image:
+// magic, version and column count (3 x u32), then per column a type byte
+// and a varint-prefixed name (every name here is shorter than 128 bytes),
+// then num_rows and rows_per_stripe (u64) and num_stripes (u32).
+size_t FirstStripeOffset(const Table& t) {
+  size_t offset = 12;
+  for (const ColumnDef& def : t.schema()) offset += 2 + def.name.size();
+  return offset + 8 + 8 + 4;
+}
+
 TEST(StorageTest, RejectsGarbage) {
   EXPECT_FALSE(ReadTableFile("not a table file").ok());
   EXPECT_FALSE(ReadTableFile("").ok());
   const Table t = MixedTable(50, 3);
-  std::string bytes = WriteTableFile(t);
+  const std::string good = WriteTableFile(t);
+  ASSERT_TRUE(ReadTableFile(good).ok());
+  const size_t stripe = FirstStripeOffset(t);
+
+  std::string bytes = good;
   bytes.resize(bytes.size() / 2);  // truncate
+  EXPECT_FALSE(ReadTableFile(bytes).ok());
+
+  // Flipped encoding byte: the first chunk belongs to the int64 "id"
+  // column; neither a string encoding nor an unknown value may decode.
+  for (const char enc : {'\x04', '\x7f'}) {
+    bytes = good;
+    bytes[stripe + 4] = enc;
+    EXPECT_FALSE(ReadTableFile(bytes).ok()) << static_cast<int>(enc);
+  }
+
+  // Huge string-length varint (2^64 - 1) in place of the one-byte length
+  // of the file's last value (the plain-encoded "text" column): the bounds
+  // check must not wrap and accept it.
+  const std::string& last = t.column(4).strings().back();
+  bytes = good.substr(0, good.size() - last.size() - 1) +
+          std::string(9, '\xff') + '\x01' + last;
+  EXPECT_FALSE(ReadTableFile(bytes).ok());
+
+  // Truncated file whose first stripe claims 0xFFFFFFFF rows: decoding
+  // must stop at the end of the bytes, not append four billion values.
+  bytes = good;
+  for (size_t i = 0; i < 4; ++i) bytes[stripe + i] = '\xff';
+  bytes.resize(stripe + 40);
   EXPECT_FALSE(ReadTableFile(bytes).ok());
 }
 

@@ -47,8 +47,8 @@ TEST(ThreadPoolTest, SingleWorkerPoolCompletesWithWaitingCaller) {
 }
 
 TEST(ThreadPoolTest, TasksSubmittedFromTasksComplete) {
-  // DAG-pipelining relies on successor tasks being submitted from inside
-  // running predecessors while the group is being waited on.
+  // TaskGroup::Wait covers tasks submitted from inside running group tasks
+  // while the group is being waited on.
   ThreadPool pool(2);
   TaskGroup group(&pool, "chain");
   std::atomic<int> leaves{0};
