@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "bench/micro_main.h"
 #include "common/thread_pool.h"
 #include "exec/datagen.h"
 #include "exec/expr.h"
@@ -448,21 +449,4 @@ BENCHMARK(BM_GenerateTpch);
 }  // namespace
 }  // namespace cackle::exec
 
-#ifndef CACKLE_BENCH_CXX_FLAGS
-#define CACKLE_BENCH_CXX_FLAGS "(unknown)"
-#endif
-
-int main(int argc, char** argv) {
-  // Surface the execution environment in the JSON context: the committed
-  // artifact must say on its face whether parallel-variant numbers came
-  // from a 1-core CI runner (determinism coverage only) or a real machine.
-  benchmark::AddCustomContext(
-      "available_cores",
-      std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext("cxx_flags", CACKLE_BENCH_CXX_FLAGS);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main(int argc, char** argv) { return cackle::MicroBenchMain(argc, argv); }

@@ -1,13 +1,13 @@
 // Microbenchmarks of the strategy stack's hot paths (google-benchmark):
-// Fenwick-backed sliding-window percentiles, the full expert family's
-// per-second evaluation, multiplicative-weights updates, allocation-model
-// stepping, and oracle computation.
+// sorted sliding-window maintenance, the full expert family's per-second
+// evaluation, multiplicative-weights updates, allocation-model stepping,
+// and oracle computation.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
-#include "common/fenwick.h"
+#include "bench/micro_main.h"
 #include "common/rng.h"
 #include "strategy/allocation_model.h"
 #include "strategy/dynamic_strategy.h"
@@ -17,37 +17,6 @@
 
 namespace cackle {
 namespace {
-
-void BM_FenwickInsertErase(benchmark::State& state) {
-  FenwickCounter counter(1 << 20);
-  Rng rng(1);
-  std::vector<int64_t> values;
-  for (int i = 0; i < 4096; ++i) {
-    values.push_back(static_cast<int64_t>(rng.NextBounded(1 << 20)));
-    counter.Insert(values.back());
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    counter.Erase(values[i % values.size()]);
-    counter.Insert(values[(i + 1) % values.size()]);
-    ++i;
-  }
-}
-BENCHMARK(BM_FenwickInsertErase);
-
-void BM_FenwickPercentile(benchmark::State& state) {
-  FenwickCounter counter(1 << 20);
-  Rng rng(2);
-  for (int i = 0; i < 3600; ++i) {
-    counter.Insert(static_cast<int64_t>(rng.NextBounded(1 << 20)));
-  }
-  double p = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.Percentile(p));
-    p = p >= 100.0 ? 1.0 : p + 1.0;
-  }
-}
-BENCHMARK(BM_FenwickPercentile);
 
 void BM_WorkloadHistoryAppend(benchmark::State& state) {
   WorkloadHistory history;
@@ -124,4 +93,4 @@ BENCHMARK(BM_OracleOneHour);
 }  // namespace
 }  // namespace cackle
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return cackle::MicroBenchMain(argc, argv); }

@@ -18,8 +18,11 @@ side without repetitions whose spread is unknown, cannot tell a win from
 noise.
 
 With --out, also writes a combined JSON artifact holding the baseline and
-new numbers plus the speedup per benchmark (the committed
-bench/results/BENCH_micro_exec.json is produced this way).
+new numbers, the coefficient of variation of each side (the `cv`
+aggregate of real_time, null without repetitions) and the speedup per
+benchmark; benchmarks only one side has are kept as new or removed rows.
+The committed bench/results/BENCH_micro_exec.json and
+bench/results/BENCH_strategy.json are produced this way.
 """
 
 import argparse
@@ -65,9 +68,17 @@ def load(path):
     The entry is the `median` aggregate when present, else the `mean`, else
     the raw run; the stddev entry is the `stddev` aggregate when present.
     """
+    return {name: (entry, stddev)
+            for name, (entry, stddev, _) in load_with_cv(path).items()}
+
+
+def load_with_cv(path):
+    """{benchmark-name: (entry, stddev-entry or None, cv or None)}: load()
+    plus the coefficient of variation of real_time across repetitions (the
+    `cv` aggregate), or None without repetitions."""
     with open(path) as f:
         doc = json.load(f)
-    raw, by_aggregate = {}, {"median": {}, "mean": {}, "stddev": {}}
+    raw, by_aggregate = {}, {"median": {}, "mean": {}, "stddev": {}, "cv": {}}
     for entry in doc.get("benchmarks", []):
         name = entry.get("run_name", entry.get("name", ""))
         if entry.get("run_type") == "aggregate":
@@ -75,7 +86,8 @@ def load(path):
         else:
             raw.setdefault(name, entry)
     picked = {**raw, **by_aggregate["mean"], **by_aggregate["median"]}
-    return {name: (entry, by_aggregate["stddev"].get(name))
+    cv = {name: e.get("real_time") for name, e in by_aggregate["cv"].items()}
+    return {name: (entry, by_aggregate["stddev"].get(name), cv.get(name))
             for name, entry in picked.items()}
 
 
@@ -96,9 +108,9 @@ def environment_header(path):
     """Execution-environment header for the combined artifact.
 
     Pulls available_cores / cxx_flags out of google-benchmark's context
-    block (micro_exec registers them via AddCustomContext) so the committed
-    artifact states on its face how many cores the numbers were measured
-    on. On a 1-core runner the morsel variants only prove determinism, not
+    block (bench/micro_main.h registers them via AddCustomContext) so the
+    committed artifact states on its face how many cores the numbers were
+    measured on. On a 1-core runner the morsel variants only prove determinism, not
     speedup — the caveat spells that out rather than leaving a misleading
     ~1.0x in the record.
     """
@@ -165,6 +177,8 @@ def main(argv):
     parser.add_argument("--out", help="write combined JSON artifact here")
     args = parser.parse_args(argv)
 
+    old_cv = {n: c for n, (_, _, c) in load_with_cv(args.baseline).items()}
+    new_cv = {n: c for n, (_, _, c) in load_with_cv(args.new).items()}
     old = load(args.baseline)
     new = load(args.new)
     shared = [name for name in new if name in old]
@@ -186,7 +200,7 @@ def main(argv):
         ratio, resolved = vs_spawn[name]
         return round(ratio, 4) if resolved else "unresolved"
 
-    width = max(len(n) for n in new)
+    width = max(len(n) for n in list(new) + list(old))
     print(f"{'benchmark':<{width}}  {'old':>10}  {'new':>10}  speedup")
     combined = []
     for name in shared:
@@ -201,10 +215,13 @@ def main(argv):
             "metric": metric,
             "baseline": old_v,
             "after": new_v,
+            "baseline_cv": old_cv.get(name),
+            "after_cv": new_cv.get(name),
             "speedup": round(ratio, 4) if resolved else "unresolved",
             "speedup_vs_spawn": vs_spawn_field(name),
         })
     only_new = sorted(set(new) - set(old))
+    only_old = sorted(set(old) - set(new))
     for name in only_new:
         new_v, metric = _throughput(new[name][0])
         print(f"{name:<{width}}  {'-':>10}  {fmt(new_v):>10}  {'new':>10}  "
@@ -214,8 +231,24 @@ def main(argv):
             "metric": metric,
             "baseline": None,
             "after": new_v,
+            "baseline_cv": None,
+            "after_cv": new_cv.get(name),
             "speedup": None,
             "speedup_vs_spawn": vs_spawn_field(name),
+        })
+    for name in only_old:
+        old_v, metric = _throughput(old[name][0])
+        print(f"{name:<{width}}  {fmt(old_v):>10}  {'-':>10}  "
+              f"{'removed':>10}  ({metric})")
+        combined.append({
+            "name": name,
+            "metric": metric,
+            "baseline": old_v,
+            "after": None,
+            "baseline_cv": old_cv.get(name),
+            "after_cv": None,
+            "speedup": None,
+            "speedup_vs_spawn": None,
         })
 
     if args.out:

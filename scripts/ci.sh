@@ -3,7 +3,8 @@
 # engine (tools/lint/) runs before anything is compiled and fails the script
 # on any non-baselined violation. Then three build/test configurations —
 # Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer — and
-# a microbenchmark smoke pass that writes build-release/BENCH_micro_exec.json.
+# microbenchmark smoke passes that write build-release/BENCH_micro_exec.json
+# and build-release/BENCH_micro_strategy_smoke.json.
 # Any test failure or sanitizer report (sanitizers run with
 # -fno-sanitize-recover=all) fails the script. A step whose tool is missing
 # here is skipped, never passed: every skip is collected and the script ends
@@ -169,6 +170,22 @@ python3 scripts/bench_compare.py \
   bench/results/.baseline_raw.json \
   build-release/BENCH_micro_exec_raw.json \
   --out build-release/BENCH_micro_exec.json
+
+# Strategy microbenchmark smoke: expert-family evaluation, sorted-window
+# append, allocation-model step, MW update and oracle, a short pass with
+# repetitions so the JSON carries its median/stddev/cv aggregates. Writes to
+# build-release/ only; the committed bench/results/BENCH_strategy.json
+# (parent and change builds measured back to back) is refreshed by hand.
+echo "=== bench smoke (micro_strategy) ==="
+./build-release/bench/micro_strategy \
+  --benchmark_min_time=0.01 \
+  --benchmark_repetitions=2 \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_format=json \
+  > build-release/BENCH_micro_strategy_smoke.json
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+  build-release/BENCH_micro_strategy_smoke.json
+echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
 
 # Simulation-kernel smoke: the scheduler microbench in fast mode, compared
 # against the committed full-scale artifact. The committed numbers come

@@ -6,6 +6,16 @@
 
 namespace cackle {
 
+AllocationModel::Environment AllocationModel::EnvironmentOf(
+    const CostModel& cost) {
+  Environment env;
+  env.startup_s = cost.vm_startup_ms / 1000;
+  env.min_billing_s = cost.vm_min_billing_ms / 1000;
+  env.vm_price_s = cost.VmCostPerSecond();
+  env.elastic_price_s = cost.ElasticCostPerSecond();
+  return env;
+}
+
 AllocationModel::AllocationModel(const CostModel* cost)
     : AllocationModel(cost->vm_startup_ms / 1000,
                       cost->vm_min_billing_ms / 1000, cost->VmCostPerSecond(),
@@ -13,44 +23,43 @@ AllocationModel::AllocationModel(const CostModel* cost)
   cost_ = cost;
 }
 
-void AllocationModel::RefreshEnvironment() {
-  if (cost_ == nullptr) return;
-  startup_s_ = cost_->vm_startup_ms / 1000;
-  min_billing_s_ = cost_->vm_min_billing_ms / 1000;
-  vm_price_s_ = cost_->VmCostPerSecond();
-  elastic_price_s_ = cost_->ElasticCostPerSecond();
-}
-
 AllocationModel::AllocationModel(int64_t startup_s, int64_t min_billing_s,
                                  double price_per_s,
-                                 double elastic_price_per_s)
-    : startup_s_(startup_s), min_billing_s_(min_billing_s),
-      vm_price_s_(price_per_s), elastic_price_s_(elastic_price_per_s) {
-  CACKLE_CHECK_GE(startup_s_, 0);
-  CACKLE_CHECK_GE(min_billing_s_, 0);
+                                 double elastic_price_per_s) {
+  env_.startup_s = startup_s;
+  env_.min_billing_s = min_billing_s;
+  env_.vm_price_s = price_per_s;
+  env_.elastic_price_s = elastic_price_per_s;
+  CACKLE_CHECK_GE(env_.startup_s, 0);
+  CACKLE_CHECK_GE(env_.min_billing_s, 0);
 }
 
-void AllocationModel::TerminateOne() {
-  CACKLE_CHECK(!running_.empty());
-  running_.pop_front();
-}
-
-bool AllocationModel::OldestPastMinBilling() const {
-  return !running_.empty() && now_s_ - running_.front() >= min_billing_s_;
+void AllocationModel::StartVms(int64_t count) {
+  if (!running_.empty() && running_.back().start_s == now_s_) {
+    running_.back().count += count;
+  } else {
+    running_.push_back(Run{now_s_, count});
+  }
+  available_ += count;
 }
 
 AllocationModel::StepResult AllocationModel::Step(int64_t target,
                                                   int64_t demand) {
+  if (cost_ != nullptr) env_ = EnvironmentOf(*cost_);
+  return Step(env_, target, demand);
+}
+
+AllocationModel::StepResult AllocationModel::Step(const Environment& env,
+                                                  int64_t target,
+                                                  int64_t demand) {
   CACKLE_CHECK(!finished_);
   CACKLE_CHECK_GE(target, 0);
   CACKLE_CHECK_GE(demand, 0);
-  RefreshEnvironment();
+  env_ = env;
 
   // 1. VMs whose startup delay elapsed become available.
   while (!pending_.empty() && pending_.front().ready_s <= now_s_) {
-    for (int64_t i = 0; i < pending_.front().count; ++i) {
-      running_.push_back(now_s_);
-    }
+    StartVms(pending_.front().count);
     pending_count_ -= pending_.front().count;
     pending_.pop_front();
   }
@@ -59,13 +68,13 @@ AllocationModel::StepResult AllocationModel::Step(int64_t target,
   //    startup delay). A drop first withdraws still-pending requests
   //    (newest first, free — a spot-request modification), then terminates
   //    idle VMs; busy VMs are "terminated once idle" (Section 4.1).
-  int64_t allocated = available() + pending_count_;
+  int64_t allocated = available_ + pending_count_;
   if (target > allocated) {
     const int64_t add = target - allocated;
-    if (startup_s_ == 0) {
-      for (int64_t i = 0; i < add; ++i) running_.push_back(now_s_);
+    if (env_.startup_s == 0) {
+      StartVms(add);
     } else {
-      pending_.push_back(PendingBatch{now_s_ + startup_s_, add});
+      pending_.push_back(PendingBatch{now_s_ + env_.startup_s, add});
       pending_count_ += add;
     }
   } else if (target < allocated) {
@@ -80,22 +89,30 @@ AllocationModel::StepResult AllocationModel::Step(int64_t target,
     // Terminate idle VMs (oldest first); busy ones stay until released,
     // and VMs still inside their minimum billing window stay too — there
     // is no value in shutting them down before the minimum elapses
-    // (Section 3), and they may be reused if demand returns.
-    const int64_t busy = std::min<int64_t>(demand, available());
-    int64_t idle = available() - busy;
-    while (allocated > target && idle > 0 && OldestPastMinBilling()) {
-      TerminateOne();
-      --idle;
-      --allocated;
+    // (Section 3), and they may be reused if demand returns. Runs are
+    // ordered by start, so the first run still inside its minimum ends
+    // the sweep.
+    const int64_t busy = std::min<int64_t>(demand, available_);
+    int64_t idle = available_ - busy;
+    while (allocated > target && idle > 0 && !running_.empty() &&
+           now_s_ - running_.front().start_s >= env_.min_billing_s) {
+      Run& oldest = running_.front();
+      const int64_t stop =
+          std::min({oldest.count, allocated - target, idle});
+      oldest.count -= stop;
+      available_ -= stop;
+      idle -= stop;
+      allocated -= stop;
+      if (oldest.count == 0) running_.pop_front();
     }
   }
 
   // 3. Bill this second.
   StepResult result;
-  result.available = available();
-  result.vm_cost = static_cast<double>(result.available) * vm_price_s_;
+  result.available = available_;
+  result.vm_cost = static_cast<double>(result.available) * env_.vm_price_s;
   const int64_t overflow = std::max<int64_t>(0, demand - result.available);
-  result.elastic_cost = static_cast<double>(overflow) * elastic_price_s_;
+  result.elastic_cost = static_cast<double>(overflow) * env_.elastic_price_s;
   vm_cost_ += result.vm_cost;
   elastic_cost_ += result.elastic_cost;
   total_vm_seconds_ += result.available;
@@ -109,16 +126,21 @@ void AllocationModel::Finish() {
   CACKLE_CHECK(!finished_);
   pending_.clear();
   pending_count_ = 0;
-  // Final terminations still owe any unmet minimum billing.
-  while (!running_.empty()) {
-    const int64_t started = running_.front();
-    running_.pop_front();
-    const int64_t ran = now_s_ - started;
-    if (ran < min_billing_s_) {
-      vm_cost_ += static_cast<double>(min_billing_s_ - ran) * vm_price_s_;
-      total_vm_seconds_ += min_billing_s_ - ran;
+  // Final terminations still owe any unmet minimum billing. The penalty is
+  // added once per VM, oldest first, so the floating-point sum is the one
+  // a per-VM fleet would produce.
+  for (const Run& run : running_) {
+    const int64_t ran = now_s_ - run.start_s;
+    if (ran >= env_.min_billing_s) continue;
+    const double penalty =
+        static_cast<double>(env_.min_billing_s - ran) * env_.vm_price_s;
+    for (int64_t i = 0; i < run.count; ++i) {
+      vm_cost_ += penalty;
+      total_vm_seconds_ += env_.min_billing_s - ran;
     }
   }
+  running_.clear();
+  available_ = 0;
   finished_ = true;
 }
 

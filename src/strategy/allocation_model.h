@@ -24,10 +24,24 @@ namespace cackle {
 ///    where overflow = max(0, demand - available). (Section 4.4.3: demand
 ///    under the allocation runs on VMs, the excess on the elastic pool.)
 ///
-/// The model is incremental — O(1) amortized per second — so the dynamic
-/// meta-strategy can maintain one instance per expert.
+/// The model is incremental so the dynamic meta-strategy can maintain one
+/// instance per expert: running VMs are kept as runs of VMs that started
+/// in the same second, so a step costs O(1) amortized in the number of
+/// distinct start seconds touched, not in the number of VMs started or
+/// stopped.
 class AllocationModel {
  public:
+  /// Startup delay, minimum billing and prices in force for one step.
+  struct Environment {
+    int64_t startup_s = 0;
+    int64_t min_billing_s = 0;
+    double vm_price_s = 0.0;
+    double elastic_price_s = 0.0;
+  };
+
+  /// The environment a model constructed from `cost` steps under now.
+  static Environment EnvironmentOf(const CostModel& cost);
+
   explicit AllocationModel(const CostModel* cost);
 
   /// Generalized constructor for other provisioned fleets (the shuffle layer
@@ -46,16 +60,22 @@ class AllocationModel {
   };
 
   /// Advances one second: applies the strategy's `target`, serves `demand`.
+  /// A model constructed from a CostModel first re-reads its environment,
+  /// so mid-workload price or startup changes (Section 5.3: spot prices
+  /// nearly doubling within a quarter) take effect on the next step.
   StepResult Step(int64_t target, int64_t demand);
+
+  /// Step under an explicit environment, which replaces the model's own
+  /// (also for Finish()). Lets a caller stepping many models read the
+  /// CostModel once per second for all of them.
+  StepResult Step(const Environment& env, int64_t target, int64_t demand);
 
   /// Terminates everything (end of workload), charging remaining
   /// minimum-billing penalties. Further Steps are invalid.
   void Finish();
 
   int64_t now_s() const { return now_s_; }
-  int64_t available() const {
-    return static_cast<int64_t>(running_.size());
-  }
+  int64_t available() const { return available_; }
   int64_t pending() const { return pending_count_; }
   double vm_cost() const { return vm_cost_; }
   double elastic_cost() const { return elastic_cost_; }
@@ -70,28 +90,23 @@ class AllocationModel {
     int64_t ready_s;  // second at which these VMs become available
     int64_t count;
   };
+  struct Run {
+    int64_t start_s;  // second at which these VMs became available
+    int64_t count;
+  };
 
-  void TerminateOne();
-  /// Whether the oldest running VM has met its minimum billing time (only
-  /// such VMs are worth terminating mid-run).
-  bool OldestPastMinBilling() const;
-  /// Re-reads prices and the startup delay from the CostModel (when
-  /// constructed from one), so mid-workload environment changes
-  /// (Section 5.3: spot prices nearly doubling within a quarter) take
-  /// effect on the next step.
-  void RefreshEnvironment();
+  /// Adds `count` VMs available from this second on.
+  void StartVms(int64_t count);
 
   const CostModel* cost_ = nullptr;  // null for the fixed-price constructor
-  int64_t startup_s_;
-  int64_t min_billing_s_;
-  double vm_price_s_;
-  double elastic_price_s_;
+  Environment env_;
 
   int64_t now_s_ = 0;
   std::deque<PendingBatch> pending_;  // ordered by ready_s
   int64_t pending_count_ = 0;
-  /// Start second of each running VM, oldest first.
-  std::deque<int64_t> running_;
+  /// Running VMs as runs of equal start second, oldest first.
+  std::deque<Run> running_;
+  int64_t available_ = 0;
   double vm_cost_ = 0.0;
   double elastic_cost_ = 0.0;
   int64_t total_vm_seconds_ = 0;

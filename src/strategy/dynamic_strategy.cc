@@ -12,18 +12,56 @@ namespace cackle {
 
 DynamicStrategy::DynamicStrategy(const CostModel* cost,
                                  DynamicStrategyOptions options)
-    : cost_(cost), options_(std::move(options)),
-      experts_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
-  expert_names_.reserve(experts_.size());
-  models_.reserve(experts_.size());
-  for (const auto& e : experts_) {
-    expert_names_.push_back(e->name());
+    : cost_(cost), options_(std::move(options)), rng_(options_.seed) {
+  const std::vector<PercentileExpert> rows =
+      PercentileFamilyRows(options_.family);
+  const size_t n = rows.size();
+  expert_names_.reserve(n);
+  expert_cut_.reserve(n);
+  expert_multiplier_.reserve(n);
+  models_.reserve(n);
+  // Cut points per lookback, in first-seen order; rows sharing a lookback
+  // and a percentile (the boosted multipliers) share one cut point.
+  std::vector<size_t> row_lookback(n);
+  for (size_t i = 0; i < n; ++i) {
+    const PercentileExpert& row = rows[i];
+    expert_names_.push_back(
+        PercentileStrategy(row.lookback_s, row.percentile, row.multiplier)
+            .name());
+    expert_multiplier_.push_back(row.multiplier);
     models_.emplace_back(cost_);
+    size_t g = 0;
+    while (g < lookbacks_.size() &&
+           lookbacks_[g].lookback_s != row.lookback_s) {
+      ++g;
+    }
+    if (g == lookbacks_.size()) {
+      lookbacks_.emplace_back();
+      lookbacks_.back().lookback_s = row.lookback_s;
+    }
+    std::vector<double>& cuts = lookbacks_[g].percentiles;
+    const size_t c = static_cast<size_t>(
+        std::find(cuts.begin(), cuts.end(), row.percentile) - cuts.begin());
+    if (c == cuts.size()) cuts.push_back(row.percentile);
+    row_lookback[i] = g;
+    expert_cut_.push_back(c);
   }
-  interval_cost_.assign(experts_.size(), 0.0);
-  mw_ = std::make_unique<MultiplicativeWeights>(
-      experts_.size(), options_.epsilon, options_.weight_floor_ratio);
-  chosen_ = experts_.size() / 2;  // arbitrary deterministic initial expert
+  size_t num_cuts = 0;
+  for (LookbackCuts& lb : lookbacks_) {
+    lb.first_cut = num_cuts;
+    lb.ranks.assign(lb.percentiles.size(), 0);
+    num_cuts += lb.percentiles.size();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    expert_cut_[i] += lookbacks_[row_lookback[i]].first_cut;
+  }
+  cut_values_.assign(num_cuts, 0);
+  targets_.assign(n, 0);
+  interval_cost_.assign(n, 0.0);
+  penalties_.assign(n, 0.0);
+  mw_ = std::make_unique<MultiplicativeWeights>(n, options_.epsilon,
+                                                options_.weight_floor_ratio);
+  chosen_ = n / 2;  // arbitrary deterministic initial expert
 }
 
 DynamicStrategy::~DynamicStrategy() = default;
@@ -78,13 +116,44 @@ int64_t DynamicStrategy::TenantIsolationFloor() const {
       std::ceil(options_.tenant_headroom * static_cast<double>(sum_of_peaks)));
 }
 
+void DynamicStrategy::ComputeTargets(const WorkloadHistory& history) {
+  for (LookbackCuts& lb : lookbacks_) {
+    const std::vector<int64_t>& sorted = history.Sorted(lb.lookback_s);
+    const int64_t n = static_cast<int64_t>(sorted.size());
+    int64_t* values = cut_values_.data() + lb.first_cut;
+    if (n == 0) {
+      std::fill(values, values + lb.percentiles.size(), 0);
+      continue;
+    }
+    if (n != lb.ranked_n) {
+      for (size_t c = 0; c < lb.percentiles.size(); ++c) {
+        lb.ranks[c] = WorkloadHistory::NearestRank(lb.percentiles[c], n);
+      }
+      lb.ranked_n = n;
+    }
+    for (size_t c = 0; c < lb.ranks.size(); ++c) {
+      values[c] = sorted[static_cast<size_t>(lb.ranks[c] - 1)];
+    }
+  }
+  // The expression PercentileStrategy::Target applies; with multiplier 1
+  // the product is already integral, so the ceil is skipped.
+  for (size_t i = 0; i < targets_.size(); ++i) {
+    const double value = static_cast<double>(cut_values_[expert_cut_[i]]);
+    const double m = expert_multiplier_[i];
+    targets_[i] = static_cast<int64_t>(m == 1.0 ? value
+                                                : std::ceil(value * m));
+  }
+}
+
 int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
   const int64_t demand = history.Latest();
   // Evaluate every expert on this second: its target, and what it would
   // have cost (allocation under the known startup time + cost model).
-  for (size_t i = 0; i < experts_.size(); ++i) {
-    const int64_t expert_target = experts_[i]->Target(history);
-    const auto step = models_[i].Step(expert_target, demand);
+  ComputeTargets(history);
+  const AllocationModel::Environment env =
+      AllocationModel::EnvironmentOf(*cost_);
+  for (size_t i = 0; i < models_.size(); ++i) {
+    const auto step = models_[i].Step(env, targets_[i], demand);
     interval_cost_[i] += step.vm_cost + step.elastic_cost;
   }
   ++seconds_seen_;
@@ -102,15 +171,15 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
       max_cost = std::max(max_cost, c);
       min_cost = std::min(min_cost, c);
     }
-    std::vector<double> penalties(experts_.size(), 0.0);
+    std::fill(penalties_.begin(), penalties_.end(), 0.0);
     if (max_cost > min_cost) {
       const double denom = min_cost > 0.0 ? min_cost : max_cost;
-      for (size_t i = 0; i < experts_.size(); ++i) {
-        penalties[i] =
+      for (size_t i = 0; i < penalties_.size(); ++i) {
+        penalties_[i] =
             std::min(1.0, (interval_cost_[i] - min_cost) / denom);
       }
     }
-    mw_->Update(penalties);
+    mw_->Update(penalties_);
     std::fill(interval_cost_.begin(), interval_cost_.end(), 0.0);
     const size_t next =
         options_.sample_expert ? mw_->Sample(&rng_) : mw_->Best();
@@ -119,7 +188,7 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
     // The meta-strategy runs every update interval (five seconds in the
     // paper); the executed target is re-computed here and held in between,
     // which keeps the fleet from churning on per-second percentile noise.
-    last_target_ = experts_[chosen_]->Target(history);
+    last_target_ = targets_[chosen_];
     // Decision snapshot (pure bookkeeping; must not affect the target).
     if (metrics_sink_ != nullptr) {
       metrics_sink_->AddCounter(metric_names::kStrategyUpdates, 1);
@@ -141,7 +210,7 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
                         std::to_string(mw_->Probability(chosen_)));
     }
   } else if (seconds_seen_ <= 1) {
-    last_target_ = experts_[chosen_]->Target(history);
+    last_target_ = targets_[chosen_];
   }
   // Multi-tenant isolation floor: never provision below what every tenant
   // needs to replay its recent burst simultaneously. Zero (a no-op on the

@@ -60,6 +60,13 @@ struct DynamicStrategyOptions {
 /// from the weight distribution. The played expert's current target is the
 /// strategy's output.
 ///
+/// The family is one flat table of (lookback, percentile, multiplier) rows
+/// in PercentileFamilyRows() order. Each second the table reads every
+/// distinct cut point of a lookback from the history's sorted window (the
+/// boosted percentile once for all its multipliers), then derives each
+/// row's target and steps its allocation model in one loop under one read
+/// of the cost model.
+///
 /// If the cost model changes mid-workload (price or startup-time change),
 /// the expert evaluations pick up the new conditions from the next step —
 /// no parameters encode the old prices.
@@ -90,7 +97,7 @@ class DynamicStrategy : public ProvisioningStrategy {
   /// clock, which includes any primed-history replay).
   void SetObservability(MetricsRegistry* metrics, Tracer* tracer) override;
 
-  size_t num_experts() const { return experts_.size(); }
+  size_t num_experts() const { return expert_names_.size(); }
   /// The expert currently driving the system.
   size_t chosen_expert() const { return chosen_; }
   const std::string& chosen_expert_name() const;
@@ -102,12 +109,33 @@ class DynamicStrategy : public ProvisioningStrategy {
   int64_t expert_switches() const { return switches_; }
 
  private:
+  /// The distinct percentiles the rows of one lookback read ("cut
+  /// points"), with their nearest ranks cached for a window of `ranked_n`
+  /// samples; the ranks stop changing once the window is full.
+  struct LookbackCuts {
+    int64_t lookback_s = 0;
+    size_t first_cut = 0;  // index of this lookback's first cut point
+    std::vector<double> percentiles;
+    std::vector<int64_t> ranks;
+    int64_t ranked_n = -1;
+  };
+
+  /// Reads every cut point of every lookback from the history, then sets
+  /// targets_ to each row's ceil(cut value * multiplier).
+  void ComputeTargets(const WorkloadHistory& history);
+
   const CostModel* cost_;
   DynamicStrategyOptions options_;
-  std::vector<std::unique_ptr<ProvisioningStrategy>> experts_;
+  // The expert table, one entry per row in PercentileFamilyRows() order.
   std::vector<std::string> expert_names_;
+  std::vector<size_t> expert_cut_;  // index into cut_values_
+  std::vector<double> expert_multiplier_;
   std::vector<AllocationModel> models_;
+  std::vector<int64_t> targets_;  // this second's target per expert
   std::vector<double> interval_cost_;
+  std::vector<double> penalties_;
+  std::vector<LookbackCuts> lookbacks_;
+  std::vector<int64_t> cut_values_;  // this second's value per cut point
   std::unique_ptr<MultiplicativeWeights> mw_;
   Rng rng_;
   size_t chosen_ = 0;

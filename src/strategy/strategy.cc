@@ -30,16 +30,14 @@ int64_t MeanStrategy::Target(const WorkloadHistory& history) {
 int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
   const int64_t n = std::min<int64_t>(history.size(), lookback_s_);
   if (n == 0) return 0;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  xs.reserve(static_cast<size_t>(n));
-  ys.reserve(static_cast<size_t>(n));
+  xs_.clear();
+  ys_.clear();
   const int64_t start = history.size() - n;
   for (int64_t i = 0; i < n; ++i) {
-    xs.push_back(static_cast<double>(i));
-    ys.push_back(static_cast<double>(history.At(start + i)));
+    xs_.push_back(static_cast<double>(i));
+    ys_.push_back(static_cast<double>(history.At(start + i)));
   }
-  const LinearFit fit = FitLine(xs, ys);
+  const LinearFit fit = FitLine(xs_, ys_);
   // Predict demand out to when VMs requested now would start, and target
   // the maximum of the prediction over that horizon (the fit's slope makes
   // this either the current fitted value or the horizon endpoint).
@@ -68,22 +66,29 @@ int64_t PercentileStrategy::Target(const WorkloadHistory& history) {
       std::ceil(static_cast<double>(pct) * multiplier_));
 }
 
-std::vector<std::unique_ptr<ProvisioningStrategy>> BuildPercentileFamily(
+std::vector<PercentileExpert> PercentileFamilyRows(
     const FamilyOptions& options) {
-  std::vector<std::unique_ptr<ProvisioningStrategy>> family;
+  std::vector<PercentileExpert> rows;
   for (int64_t lb : options.lookbacks_s) {
     for (int p = options.percentile_lo; p <= options.percentile_hi;
          p += options.percentile_step) {
-      family.push_back(
-          std::make_unique<PercentileStrategy>(lb, static_cast<double>(p),
-                                               1.0));
+      rows.push_back(PercentileExpert{lb, static_cast<double>(p), 1.0});
     }
     for (double m : options.boost_multipliers) {
-      family.push_back(std::make_unique<PercentileStrategy>(
-          lb, options.boosted_percentile, m));
+      rows.push_back(PercentileExpert{lb, options.boosted_percentile, m});
     }
   }
-  CACKLE_CHECK(!family.empty());
+  CACKLE_CHECK(!rows.empty());
+  return rows;
+}
+
+std::vector<std::unique_ptr<ProvisioningStrategy>> BuildPercentileFamily(
+    const FamilyOptions& options) {
+  std::vector<std::unique_ptr<ProvisioningStrategy>> family;
+  for (const PercentileExpert& row : PercentileFamilyRows(options)) {
+    family.push_back(std::make_unique<PercentileStrategy>(
+        row.lookback_s, row.percentile, row.multiplier));
+  }
   return family;
 }
 

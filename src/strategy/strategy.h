@@ -99,6 +99,9 @@ class PredictiveStrategy : public ProvisioningStrategy {
  private:
   int64_t horizon_s_;
   int64_t lookback_s_;
+  // Regression inputs, reused across calls.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
 };
 
 /// \brief Percentile strategy (Section 4.4.5): the p-th percentile of the
@@ -138,8 +141,23 @@ struct FamilyOptions {
                                            5.0,  7.0,  10.0, 15.0, 20.0};
 };
 
-/// Builds the percentile strategy family; several hundred experts with the
-/// default options.
+/// One expert of the percentile family: the `percentile`-th percentile of
+/// the last `lookback_s` seconds of demand, times `multiplier`.
+struct PercentileExpert {
+  int64_t lookback_s = 0;
+  double percentile = 0.0;
+  double multiplier = 1.0;
+};
+
+/// The percentile family in its canonical order: per lookback, the
+/// percentile grid (multiplier 1), then the boosted percentile with each
+/// boost multiplier. The multiplicative-weights sampler depends on this
+/// order.
+std::vector<PercentileExpert> PercentileFamilyRows(
+    const FamilyOptions& options = FamilyOptions());
+
+/// Builds the percentile strategy family, one PercentileStrategy per row of
+/// PercentileFamilyRows(); several hundred experts with the default options.
 std::vector<std::unique_ptr<ProvisioningStrategy>> BuildPercentileFamily(
     const FamilyOptions& options = FamilyOptions());
 

@@ -1,11 +1,9 @@
 #ifndef CACKLE_STRATEGY_WORKLOAD_HISTORY_H_
 #define CACKLE_STRATEGY_WORKLOAD_HISTORY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "common/fenwick.h"
 
 namespace cackle {
 
@@ -14,14 +12,21 @@ namespace cackle {
 /// each second since the start of the workload.
 ///
 /// Provisioning strategies ask for aggregates over trailing windows
-/// ("lookbacks"). For each registered lookback the history maintains a
-/// Fenwick-tree index over the window so that percentile/max queries cost
-/// O(log domain) instead of O(window), which keeps the several-hundred-
-/// expert dynamic strategy cheap to re-evaluate every few seconds.
+/// ("lookbacks"). For each registered lookback the history keeps the
+/// window's samples as one sorted vector (at most `lookback_s` entries), so
+/// a percentile is a single indexed read and the dynamic strategy reads all
+/// of a window's cut points from the same array every second. Appending
+/// moves only the entries between the evicted and the inserted value.
 class WorkloadHistory {
  public:
   /// Default lookbacks (seconds) used by the strategy family: 10 s to 1 h.
   static const std::vector<int64_t>& DefaultLookbacks();
+
+  /// Nearest rank of percentile p in (0, 100] over `n` > 0 samples: the
+  /// 1-based k = int64(p/100 * n + 0.9999999), clamped to [1, n]. Every
+  /// percentile query of the history (and of the dynamic strategy's expert
+  /// table) goes through this one expression.
+  static int64_t NearestRank(double p, int64_t n);
 
   /// `demand_domain` bounds representable demand values; larger samples are
   /// clamped (with the clamp count observable for diagnostics).
@@ -44,6 +49,11 @@ class WorkloadHistory {
   /// the registered lookbacks. Returns 0 on an empty history.
   int64_t Percentile(int64_t lookback_s, double p) const;
 
+  /// The last min(size(), lookback_s) samples in ascending order
+  /// (registered lookback only); Percentile(lb, p) is
+  /// Sorted(lb)[NearestRank(p, n) - 1].
+  const std::vector<int64_t>& Sorted(int64_t lookback_s) const;
+
   /// Mean over the last `lookback_s` seconds (any lookback; O(1) via the
   /// registered window sums when registered, otherwise computed from the
   /// raw history).
@@ -58,7 +68,7 @@ class WorkloadHistory {
  private:
   struct Window {
     int64_t lookback_s;
-    std::unique_ptr<FenwickCounter> counter;
+    std::vector<int64_t> sorted;
     int64_t sum = 0;
   };
 

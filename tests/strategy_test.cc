@@ -4,6 +4,9 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,18 +27,27 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadHistoryTest, PercentileOverWindowMatchesBruteForce) {
-  WorkloadHistory history({10, 60});
+  // Every percentile 1..100 over every default lookback, from the first
+  // sample through the warm-up (history shorter than the window) into the
+  // steady state where each append also evicts. The demand walks a small
+  // range with jumps, so windows hold many ties and appends move the
+  // sorted entries in both directions.
+  const std::vector<int64_t>& lookbacks = WorkloadHistory::DefaultLookbacks();
+  WorkloadHistory history;
   Rng rng(1);
   std::vector<int64_t> raw;
-  for (int i = 0; i < 500; ++i) {
-    const int64_t d = static_cast<int64_t>(rng.NextBounded(1000));
+  int64_t d = 50;
+  for (int i = 0; i < 3600 + 400; ++i) {
+    d = std::max<int64_t>(0, d + rng.NextInt(-3, 3));
+    if (rng.NextBounded(50) == 0) d = static_cast<int64_t>(rng.NextBounded(400));
     history.Append(d);
     raw.push_back(d);
-    for (int64_t lb : {int64_t{10}, int64_t{60}}) {
+    for (int64_t lb : lookbacks) {
       const int64_t n = std::min<int64_t>(lb, static_cast<int64_t>(raw.size()));
       std::vector<int64_t> window(raw.end() - n, raw.end());
       std::sort(window.begin(), window.end());
-      for (double p : {10.0, 50.0, 80.0, 100.0}) {
+      ASSERT_EQ(history.Sorted(lb), window) << "i=" << i << " lb=" << lb;
+      for (int p = 1; p <= 100; ++p) {
         int64_t rank = static_cast<int64_t>(
             (p / 100.0) * static_cast<double>(n) + 0.9999999);
         rank = std::clamp<int64_t>(rank, 1, n);
@@ -174,6 +186,7 @@ struct ReferenceAllocation {
   std::deque<std::pair<int64_t, int64_t>> pending;  // (ready, count)
   std::deque<Vm> running;
   double vm_cost = 0, elastic_cost = 0;
+  int64_t total_vm_seconds = 0;
   int64_t now = 0;
 
   int64_t allocated() const {
@@ -213,6 +226,7 @@ struct ReferenceAllocation {
     }
     const int64_t avail = static_cast<int64_t>(running.size());
     vm_cost += static_cast<double>(avail) * vm_price;
+    total_vm_seconds += avail;
     elastic_cost +=
         static_cast<double>(std::max<int64_t>(0, demand - avail)) *
         elastic_price;
@@ -228,6 +242,7 @@ struct ReferenceAllocation {
       if (now - vm.started < min_billing_s) {
         vm_cost += static_cast<double>(min_billing_s - (now - vm.started)) *
                    vm_price;
+        total_vm_seconds += min_billing_s - (now - vm.started);
       }
     }
   }
@@ -261,6 +276,53 @@ TEST_P(AllocationModelPropertyTest, MatchesReferenceOnRandomTraces) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocationModelPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+TEST(AllocationModelTest, RunLengthFleetMatchesPerVmReferenceExactly) {
+  // A 40k-VM rise and fall: requests land in hundreds of start-second runs,
+  // drops cancel pending requests and then split the oldest run, and
+  // Finish() charges minimum billing to the youngest runs. Every cost
+  // figure must equal the per-VM reference exactly, not approximately.
+  CostModel cost;
+  cost.vm_startup_ms = 20'000;
+  cost.vm_min_billing_ms = 90'000;
+  AllocationModel model(&cost);
+  ReferenceAllocation ref(&cost);
+  Rng rng(40'000);
+  int64_t target = 0;
+  for (int64_t s = 0; s < 900; ++s) {
+    if (s < 200) {
+      target += 200 + rng.NextInt(-50, 50);  // rise to ~40k
+    } else if (s < 260) {
+      target = 40'000 + rng.NextInt(-500, 500);
+    } else if (s == 260) {
+      target = 25'000;  // sharp drop: cancels pending, splits runs
+    } else if (s < 500) {
+      target = std::max<int64_t>(0, target - rng.NextInt(0, 300));
+    } else if (s < 520) {
+      target += rng.NextInt(0, 2'000);  // short re-rise
+    } else if (s < 860) {
+      target = std::max<int64_t>(0, target - rng.NextInt(0, 400));
+    } else {
+      target += 500;  // late rise: young VMs owe minimum billing at Finish
+    }
+    const int64_t demand =
+        std::max<int64_t>(0, target / 2 + rng.NextInt(-3'000, 3'000));
+    const auto step = model.Step(target, demand);
+    const int64_t ref_avail = ref.Step(target, demand);
+    ASSERT_EQ(step.available, ref_avail) << "second " << s;
+    ASSERT_EQ(model.available(), ref_avail) << "second " << s;
+    ASSERT_EQ(model.vm_cost(), ref.vm_cost) << "second " << s;
+    ASSERT_EQ(model.elastic_cost(), ref.elastic_cost) << "second " << s;
+    ASSERT_EQ(model.total_vm_seconds(), ref.total_vm_seconds)
+        << "second " << s;
+  }
+  model.Finish();
+  ref.Finish();
+  EXPECT_EQ(model.available(), 0);
+  EXPECT_EQ(model.vm_cost(), ref.vm_cost);
+  EXPECT_EQ(model.elastic_cost(), ref.elastic_cost);
+  EXPECT_EQ(model.total_vm_seconds(), ref.total_vm_seconds);
+}
 
 TEST(AllocationModelTest, StartupDelayHonored) {
   CostModel cost;  // 180 s startup
@@ -814,6 +876,189 @@ TEST(DynamicStrategyTest, ShiftsTowardElasticWhenVmPriceRises) {
   }
   model.Finish();
   EXPECT_LT(vm_seconds_pricey, vm_seconds_cheap / 2);
+}
+
+// ---------------------------------------------------------------------------
+// DynamicStrategy's flat expert table vs the per-expert algorithm
+// ---------------------------------------------------------------------------
+
+/// The meta-strategy in its straightforward form: one virtual
+/// PercentileStrategy and one AllocationModel per expert of
+/// BuildPercentileFamily(), a MultiplicativeWeights over them and an
+/// Rng(seed). The tenant isolation floor is recomputed by brute force over
+/// the last `tenant_window_s` observed mixes.
+class ReferenceDynamic {
+ public:
+  ReferenceDynamic(const CostModel* cost, const DynamicStrategyOptions& options)
+      : options_(options), experts_(BuildPercentileFamily(options.family)),
+        mw_(experts_.size(), options.epsilon, options.weight_floor_ratio),
+        rng_(options.seed) {
+    for (size_t i = 0; i < experts_.size(); ++i) models_.emplace_back(cost);
+    interval_cost_.assign(experts_.size(), 0.0);
+    chosen_ = experts_.size() / 2;
+  }
+
+  void ObserveTenantDemand(const std::vector<TenantDemand>& mix) {
+    if (options_.tenant_aware) mixes_.push_back(mix);
+  }
+
+  int64_t Target(const WorkloadHistory& history) {
+    const int64_t demand = history.Latest();
+    for (size_t i = 0; i < experts_.size(); ++i) {
+      const auto step = models_[i].Step(experts_[i]->Target(history), demand);
+      interval_cost_[i] += step.vm_cost + step.elastic_cost;
+    }
+    ++seconds_;
+    if (seconds_ % options_.update_interval_s == 0) {
+      double max_cost = 0.0;
+      double min_cost = interval_cost_[0];
+      for (double c : interval_cost_) {
+        max_cost = std::max(max_cost, c);
+        min_cost = std::min(min_cost, c);
+      }
+      std::vector<double> penalties(experts_.size(), 0.0);
+      if (max_cost > min_cost) {
+        const double denom = min_cost > 0.0 ? min_cost : max_cost;
+        for (size_t i = 0; i < experts_.size(); ++i) {
+          penalties[i] = std::min(1.0, (interval_cost_[i] - min_cost) / denom);
+        }
+      }
+      mw_.Update(penalties);
+      std::fill(interval_cost_.begin(), interval_cost_.end(), 0.0);
+      const size_t next =
+          options_.sample_expert ? mw_.Sample(&rng_) : mw_.Best();
+      if (next != chosen_) ++switches_;
+      chosen_ = next;
+      last_target_ = experts_[chosen_]->Target(history);
+    } else if (seconds_ <= 1) {
+      last_target_ = experts_[chosen_]->Target(history);
+    }
+    return std::max(last_target_, TenantFloor());
+  }
+
+  std::string chosen_expert_name() const { return experts_[chosen_]->name(); }
+  double ExpertCost(size_t i) const { return models_[i].total_cost(); }
+  const MultiplicativeWeights& weights() const { return mw_; }
+  int64_t expert_switches() const { return switches_; }
+
+ private:
+  int64_t TenantFloor() const {
+    std::map<int32_t, int64_t> peaks;
+    const size_t window = static_cast<size_t>(options_.tenant_window_s);
+    const size_t first = mixes_.size() > window ? mixes_.size() - window : 0;
+    for (size_t j = first; j < mixes_.size(); ++j) {
+      for (const TenantDemand& td : mixes_[j]) {
+        peaks[td.tenant] = std::max(peaks[td.tenant], td.demand);
+      }
+    }
+    int64_t sum = 0;
+    for (const auto& [tenant, peak] : peaks) sum += peak;
+    return static_cast<int64_t>(
+        std::ceil(options_.tenant_headroom * static_cast<double>(sum)));
+  }
+
+  DynamicStrategyOptions options_;
+  std::vector<std::unique_ptr<ProvisioningStrategy>> experts_;
+  std::vector<AllocationModel> models_;
+  std::vector<double> interval_cost_;
+  MultiplicativeWeights mw_;
+  Rng rng_;
+  size_t chosen_ = 0;
+  int64_t seconds_ = 0;
+  int64_t switches_ = 0;
+  int64_t last_target_ = 0;
+  std::vector<std::vector<TenantDemand>> mixes_;
+};
+
+struct DifferentialRun {
+  DynamicStrategyOptions options;
+  /// Second at which the VM price rises and the startup time shortens
+  /// (-1: never).
+  int64_t environment_change_s = -1;
+  /// Feed a three-tenant split of each second's demand.
+  bool feed_tenants = false;
+};
+
+/// Steps the flat table and the reference side by side over a noisy
+/// sinusoid with bursts, longer than the longest lookback, and requires
+/// every observable to be bit-identical every second.
+void ExpectMatchesReference(const DifferentialRun& run) {
+  CostModel cost;
+  DynamicStrategy dynamic(&cost, run.options);
+  CostModel ref_cost;
+  ReferenceDynamic ref(&ref_cost, run.options);
+  WorkloadHistory history;
+  Rng rng(99);
+  const auto base = SinusoidDemand(4200, 1500, 120);
+  for (size_t s = 0; s < base.size(); ++s) {
+    if (static_cast<int64_t>(s) == run.environment_change_s) {
+      for (CostModel* c : {&cost, &ref_cost}) {
+        c->vm_cost_per_hour *= 3.0;
+        c->vm_startup_ms = 45'000;
+      }
+    }
+    int64_t demand = std::max<int64_t>(0, base[s] + rng.NextInt(-15, 15));
+    if (rng.NextBounded(200) == 0) demand += 400;  // burst
+    history.Append(demand);
+    if (run.feed_tenants) {
+      std::vector<TenantDemand> mix;
+      const int64_t a = demand / 2;
+      const int64_t b = (demand - a) * static_cast<int64_t>(s % 3) / 3;
+      for (const TenantDemand& td : {TenantDemand{1, a}, TenantDemand{2, b},
+                                     TenantDemand{5, demand - a - b}}) {
+        if (td.demand > 0) mix.push_back(td);
+      }
+      dynamic.ObserveTenantDemand(mix);
+      ref.ObserveTenantDemand(mix);
+    }
+    ASSERT_EQ(dynamic.Target(history), ref.Target(history)) << "second " << s;
+    ASSERT_EQ(dynamic.chosen_expert_name(), ref.chosen_expert_name())
+        << "second " << s;
+    ASSERT_EQ(dynamic.expert_switches(), ref.expert_switches())
+        << "second " << s;
+    ASSERT_EQ(dynamic.weights().weights(), ref.weights().weights())
+        << "second " << s;
+    for (size_t i = 0; i < dynamic.num_experts(); ++i) {
+      ASSERT_EQ(dynamic.ExpertCost(i), ref.ExpertCost(i))
+          << "second " << s << " expert " << i;
+    }
+  }
+  EXPECT_GT(dynamic.expert_switches(), 0);
+}
+
+TEST(DynamicStrategyDifferentialTest, DefaultFamily) {
+  ExpectMatchesReference({});
+}
+
+TEST(DynamicStrategyDifferentialTest, PercentileStepFiveBoostsOffGrid) {
+  // Percentiles 1, 6, ..., 96: the boosted p80 is not an expert of its own.
+  DifferentialRun run;
+  run.options.family.percentile_step = 5;
+  ExpectMatchesReference(run);
+}
+
+TEST(DynamicStrategyDifferentialTest, NoBoostMultipliers) {
+  DifferentialRun run;
+  run.options.family.boost_multipliers.clear();
+  ExpectMatchesReference(run);
+}
+
+TEST(DynamicStrategyDifferentialTest, SingleLookback) {
+  DifferentialRun run;
+  run.options.family.lookbacks_s = {300};
+  ExpectMatchesReference(run);
+}
+
+TEST(DynamicStrategyDifferentialTest, MidRunPriceAndStartupChange) {
+  DifferentialRun run;
+  run.environment_change_s = 2000;
+  ExpectMatchesReference(run);
+}
+
+TEST(DynamicStrategyDifferentialTest, TenantDemandFed) {
+  DifferentialRun run;
+  run.feed_tenants = true;
+  ExpectMatchesReference(run);
 }
 
 // ---------------------------------------------------------------------------
