@@ -11,11 +11,16 @@ contains repetition aggregates, the `median` aggregate is used (else the
 items_per_second when the benchmark reports it, else bytes_per_second, else
 runs/second derived from real_time.
 
-A speedup is only printed when it is resolved: both sides carry a `median`
-and a `stddev` aggregate and the two median +/- stddev intervals do not
-overlap. Otherwise it prints as "unresolved" — overlapping intervals, or a
-side without repetitions whose spread is unknown, cannot tell a win from
-noise.
+A speedup is only printed when it is resolved: each side has at least
+MIN_REPETITIONS repetitions (`run_type: iteration` entries) and the two
+per-repetition throughput ranges (min..max) are disjoint, i.e. every
+repetition of one side beat every repetition of the other. With k
+repetitions per side and no real change that happens with probability
+2 / C(2k, k): 0.8 % at k = 5, 0.06 % at k = 7 (the committed artifacts).
+Otherwise it prints as "unresolved" — overlapping ranges, or too few
+repetitions to tell a win from noise. (Median +/- stddev intervals were
+not enough: on a shared machine they called unchanged code a resolved
+1.15x speedup.)
 
 With --out, also writes a combined JSON artifact holding the baseline and
 new numbers, the coefficient of variation of each side (the `cv`
@@ -30,6 +35,9 @@ import json
 import sys
 
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Fewest repetitions per side for a speedup to count as resolved.
+MIN_REPETITIONS = 5
 
 
 # Throughput fields in preference order, with the unit each is printed in.
@@ -47,60 +55,48 @@ def _throughput(entry):
     return (1e9 / ns if ns else 0.0), "runs/s"
 
 
-def _interval(entry, stddev):
-    """(lo, hi) throughput interval of median +/- stddev, or None."""
-    if stddev is None:
-        return None
-    for field, _ in _THROUGHPUT_FIELDS:
-        if field in entry:
-            return entry[field] - stddev[field], entry[field] + stddev[field]
-    # runs/s is 1/real_time: map the time interval through the reciprocal.
-    unit = _TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
-    t = entry["real_time"] * unit
-    sd = stddev["real_time"] * unit
-    return (1e9 / (t + sd) if t + sd > 0 else 0.0,
-            1e9 / (t - sd) if t - sd > 0 else float("inf"))
-
-
 def load(path):
-    """{benchmark-name: (entry, stddev-entry or None)}.
+    """{benchmark-name: (entry, repetition throughputs)}.
 
     The entry is the `median` aggregate when present, else the `mean`, else
-    the raw run; the stddev entry is the `stddev` aggregate when present.
+    the raw run; the list holds the throughput of every `iteration` entry
+    (one per repetition).
     """
-    return {name: (entry, stddev)
-            for name, (entry, stddev, _) in load_with_cv(path).items()}
+    return {name: (entry, reps)
+            for name, (entry, reps, _) in load_with_cv(path).items()}
 
 
 def load_with_cv(path):
-    """{benchmark-name: (entry, stddev-entry or None, cv or None)}: load()
+    """{benchmark-name: (entry, repetition throughputs, cv or None)}: load()
     plus the coefficient of variation of real_time across repetitions (the
     `cv` aggregate), or None without repetitions."""
     with open(path) as f:
         doc = json.load(f)
-    raw, by_aggregate = {}, {"median": {}, "mean": {}, "stddev": {}, "cv": {}}
+    raw, reps = {}, {}
+    by_aggregate = {"median": {}, "mean": {}, "cv": {}}
     for entry in doc.get("benchmarks", []):
         name = entry.get("run_name", entry.get("name", ""))
         if entry.get("run_type") == "aggregate":
             by_aggregate.get(entry.get("aggregate_name"), {})[name] = entry
         else:
             raw.setdefault(name, entry)
+            reps.setdefault(name, []).append(_throughput(entry)[0])
     picked = {**raw, **by_aggregate["mean"], **by_aggregate["median"]}
     cv = {name: e.get("real_time") for name, e in by_aggregate["cv"].items()}
-    return {name: (entry, by_aggregate["stddev"].get(name), cv.get(name))
+    return {name: (entry, reps.get(name, []), cv.get(name))
             for name, entry in picked.items()}
 
 
 def speedup(base, new):
-    """(ratio, resolved) of new over base throughput; each side is a
-    (entry, stddev-entry) pair from load()."""
+    """(ratio, resolved) of new over base throughput; each side is an
+    (entry, repetition throughputs) pair from load(). Resolved when both
+    sides have MIN_REPETITIONS repetitions and their ranges are disjoint."""
     base_v, _ = _throughput(base[0])
     new_v, _ = _throughput(new[0])
     ratio = new_v / base_v if base_v else float("inf")
-    a = _interval(*base)
-    b = _interval(*new)
-    resolved = a is not None and b is not None and (a[1] < b[0] or
-                                                    b[1] < a[0])
+    a, b = base[1], new[1]
+    resolved = (len(a) >= MIN_REPETITIONS and len(b) >= MIN_REPETITIONS and
+                (max(a) < min(b) or max(b) < min(a)))
     return ratio, resolved
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -31,6 +32,69 @@ const Column* BorrowOrEval(const Expr& e, const Table& input,
   *storage = e.Eval(input);
   return storage;
 }
+
+/// One operand of an element-wise kernel. Int, double and string literals
+/// stay scalar; anything else is borrowed when it is a column reference and
+/// evaluated once otherwise. The Visit calls hand `fn` a typed per-row
+/// accessor, so a kernel instantiates one tight loop per operand kind
+/// instead of re-checking the kind and type on every row.
+class Operand {
+ public:
+  Operand(const Expr& e, const Table& input)
+      : int_lit_(e.TryIntLiteral()),
+        double_lit_(e.TryDoubleLiteral()),
+        string_lit_(e.TryStringLiteral()) {
+    if (int_lit_ == nullptr && double_lit_ == nullptr &&
+        string_lit_ == nullptr) {
+      col_ = BorrowOrEval(e, input, &storage_);
+    }
+  }
+  Operand(const Operand&) = delete;
+  Operand& operator=(const Operand&) = delete;
+
+  DataType type() const {
+    if (col_ != nullptr) return col_->type();
+    if (int_lit_ != nullptr) return DataType::kInt64;
+    return double_lit_ != nullptr ? DataType::kFloat64 : DataType::kString;
+  }
+
+  /// `fn(at)` with `at(r)` returning int64_t or double.
+  template <typename Fn>
+  void VisitNumeric(Fn&& fn) const {
+    if (int_lit_ != nullptr) {
+      const int64_t v = *int_lit_;
+      fn([v](size_t) { return v; });
+    } else if (double_lit_ != nullptr) {
+      const double v = *double_lit_;
+      fn([v](size_t) { return v; });
+    } else if (type() == DataType::kInt64) {
+      const int64_t* p = col_->ints().data();
+      fn([p](size_t r) { return p[r]; });
+    } else {
+      const double* p = col_->doubles().data();
+      fn([p](size_t r) { return p[r]; });
+    }
+  }
+
+  /// `fn(at)` with `at(r)` returning const std::string&.
+  template <typename Fn>
+  void VisitString(Fn&& fn) const {
+    if (string_lit_ != nullptr) {
+      const std::string* v = string_lit_;
+      fn([v](size_t) -> const std::string& { return *v; });
+    } else {
+      const std::string* p = col_->strings().data();
+      fn([p](size_t r) -> const std::string& { return p[r]; });
+    }
+  }
+
+ private:
+  const int64_t* int_lit_;
+  const double* double_lit_;
+  const std::string* string_lit_;
+  Column storage_;
+  const Column* col_ = nullptr;
+};
 
 /// Keeps sel[i] iff test(sel[i]); in-place compaction.
 template <typename TestFn>
@@ -185,6 +249,22 @@ class StringLit final : public Expr {
 
 enum class ArithOp { kAdd, kSub, kMul, kDiv };
 
+/// Invokes `dispatch` with the arithmetic lambda for `op` over values of
+/// type T, hoisting the operator switch out of the row loop (as
+/// WithComparator does for the selection kernels). Division by zero yields
+/// zero.
+template <typename T, typename Dispatch>
+void WithArith(ArithOp op, Dispatch&& dispatch) {
+  switch (op) {
+    case ArithOp::kAdd: dispatch([](T x, T y) -> T { return x + y; }); break;
+    case ArithOp::kSub: dispatch([](T x, T y) -> T { return x - y; }); break;
+    case ArithOp::kMul: dispatch([](T x, T y) -> T { return x * y; }); break;
+    case ArithOp::kDiv:
+      dispatch([](T x, T y) -> T { return y == 0 ? T{0} : x / y; });
+      break;
+  }
+}
+
 class Arith final : public Expr {
  public:
   void CollectColumns(std::set<std::string>* out) const override {
@@ -203,40 +283,38 @@ class Arith final : public Expr {
                : DataType::kFloat64;
   }
   Column Eval(const Table& input) const override {
-    const Column ca = a_->Eval(input);
-    const Column cb = b_->Eval(input);
-    const int64_t n = input.num_rows();
-    if (OutputType(input) == DataType::kInt64) {
-      Column out(DataType::kInt64);
-      out.ints().resize(static_cast<size_t>(n));
-      for (int64_t r = 0; r < n; ++r) {
-        const int64_t x = ca.ints()[static_cast<size_t>(r)];
-        const int64_t y = cb.ints()[static_cast<size_t>(r)];
-        int64_t v = 0;
-        switch (op_) {
-          case ArithOp::kAdd: v = x + y; break;
-          case ArithOp::kSub: v = x - y; break;
-          case ArithOp::kMul: v = x * y; break;
-          case ArithOp::kDiv: v = 0; break;  // unreachable (kDiv -> double)
+    const Operand a(*a_, input);
+    const Operand b(*b_, input);
+    CACKLE_CHECK(IsNumeric(a.type()) && IsNumeric(b.type()));
+    const size_t n = static_cast<size_t>(input.num_rows());
+    // int64 op int64 stays int64 (except division); everything else
+    // promotes each operand to double per row.
+    const bool int_out = op_ != ArithOp::kDiv &&
+                         a.type() == DataType::kInt64 &&
+                         b.type() == DataType::kInt64;
+    Column out(int_out ? DataType::kInt64 : DataType::kFloat64);
+    a.VisitNumeric([&](auto x) {
+      b.VisitNumeric([&](auto y) {
+        if constexpr (std::is_same_v<decltype(x(0)), int64_t> &&
+                      std::is_same_v<decltype(y(0)), int64_t>) {
+          if (int_out) {
+            std::vector<int64_t>& o = out.ints();
+            o.resize(n);
+            WithArith<int64_t>(op_, [&](auto f) {
+              for (size_t r = 0; r < n; ++r) o[r] = f(x(r), y(r));
+            });
+            return;
+          }
         }
-        out.ints()[static_cast<size_t>(r)] = v;
-      }
-      return out;
-    }
-    Column out(DataType::kFloat64);
-    out.doubles().resize(static_cast<size_t>(n));
-    for (int64_t r = 0; r < n; ++r) {
-      const double x = NumAt(ca, r);
-      const double y = NumAt(cb, r);
-      double v = 0;
-      switch (op_) {
-        case ArithOp::kAdd: v = x + y; break;
-        case ArithOp::kSub: v = x - y; break;
-        case ArithOp::kMul: v = x * y; break;
-        case ArithOp::kDiv: v = y == 0.0 ? 0.0 : x / y; break;
-      }
-      out.doubles()[static_cast<size_t>(r)] = v;
-    }
+        std::vector<double>& o = out.doubles();
+        o.resize(n);
+        WithArith<double>(op_, [&](auto f) {
+          for (size_t r = 0; r < n; ++r) {
+            o[r] = f(static_cast<double>(x(r)), static_cast<double>(y(r)));
+          }
+        });
+      });
+    });
     return out;
   }
 
@@ -651,27 +729,45 @@ class IfExpr final : public Expr {
                : DataType::kFloat64;
   }
   Column Eval(const Table& input) const override {
-    const Column cc = cond_->Eval(input);
-    const Column ca = a_->Eval(input);
-    const Column cb = b_->Eval(input);
-    const int64_t n = input.num_rows();
+    Column cond_storage;
+    const int64_t* take =
+        BorrowOrEval(*cond_, input, &cond_storage)->ints().data();
+    const size_t n = static_cast<size_t>(input.num_rows());
     const DataType out_type = OutputType(input);
+    const Operand a(*a_, input);
+    const Operand b(*b_, input);
     Column out(out_type);
-    for (int64_t r = 0; r < n; ++r) {
-      const bool take_a = cc.ints()[static_cast<size_t>(r)] != 0;
-      const Column& src = take_a ? ca : cb;
-      switch (out_type) {
-        case DataType::kInt64:
-          out.ints().push_back(src.ints()[static_cast<size_t>(r)]);
-          break;
-        case DataType::kFloat64:
-          out.doubles().push_back(NumAt(src, r));
-          break;
-        case DataType::kString:
-          out.strings().push_back(src.strings()[static_cast<size_t>(r)]);
-          break;
-      }
+    if (out_type == DataType::kString) {
+      std::vector<std::string>& o = out.strings();
+      o.reserve(n);
+      a.VisitString([&](auto x) {
+        b.VisitString([&](auto y) {
+          for (size_t r = 0; r < n; ++r) {
+            o.push_back(take[r] != 0 ? x(r) : y(r));
+          }
+        });
+      });
+      return out;
     }
+    a.VisitNumeric([&](auto x) {
+      b.VisitNumeric([&](auto y) {
+        if constexpr (std::is_same_v<decltype(x(0)), int64_t> &&
+                      std::is_same_v<decltype(y(0)), int64_t>) {
+          if (out_type == DataType::kInt64) {
+            std::vector<int64_t>& o = out.ints();
+            o.resize(n);
+            for (size_t r = 0; r < n; ++r) o[r] = take[r] != 0 ? x(r) : y(r);
+            return;
+          }
+        }
+        std::vector<double>& o = out.doubles();
+        o.resize(n);
+        for (size_t r = 0; r < n; ++r) {
+          o[r] = take[r] != 0 ? static_cast<double>(x(r))
+                              : static_cast<double>(y(r));
+        }
+      });
+    });
     return out;
   }
 
@@ -691,14 +787,13 @@ class YearExpr final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column cd = date_->Eval(input);
-    const int64_t n = input.num_rows();
+    Column storage;
+    const int64_t* dates = BorrowOrEval(*date_, input, &storage)->ints().data();
+    const size_t n = static_cast<size_t>(input.num_rows());
     Column out(DataType::kInt64);
-    out.ints().resize(static_cast<size_t>(n));
-    for (int64_t r = 0; r < n; ++r) {
-      out.ints()[static_cast<size_t>(r)] =
-          CivilFromDate(cd.ints()[static_cast<size_t>(r)]).year;
-    }
+    std::vector<int64_t>& o = out.ints();
+    o.resize(n);
+    for (size_t r = 0; r < n; ++r) o[r] = CivilFromDate(dates[r]).year;
     return out;
   }
 
@@ -716,11 +811,13 @@ class SubstrExpr final : public Expr {
     return DataType::kString;
   }
   Column Eval(const Table& input) const override {
-    const Column cx = x_->Eval(input);
+    Column storage;
+    const Column* cx = BorrowOrEval(*x_, input, &storage);
     Column out(DataType::kString);
-    out.strings().reserve(static_cast<size_t>(input.num_rows()));
-    for (const std::string& s : cx.strings()) {
-      out.strings().push_back(s.substr(0, static_cast<size_t>(n_)));
+    std::vector<std::string>& o = out.strings();
+    o.reserve(static_cast<size_t>(input.num_rows()));
+    for (const std::string& s : cx->strings()) {
+      o.push_back(s.substr(0, static_cast<size_t>(n_)));
     }
     return out;
   }

@@ -310,6 +310,58 @@ bool IntraOpParallel(const OpExecContext& ctx) {
   return ctx.pool != nullptr && ctx.morsel_rows > 0;
 }
 
+/// Adds to counts[g] the number of distinct values of `in` among the rows
+/// of group g (`gid[r]` is row r's group). Sorts (group, value) pairs and
+/// counts each group's runs of equal values; dictionary strings compare by
+/// code (canonicalized, so equal strings count once even if a dictionary
+/// repeats a value), plain strings by a sort of row indices.
+void CountDistinct(const std::vector<int64_t>& gid, const Column& in,
+                   std::vector<int64_t>* counts) {
+  const size_t n = gid.size();
+  if (in.type() == DataType::kString && !in.has_dict()) {
+    const std::vector<std::string>& xs = in.strings();
+    std::vector<int64_t> rows(n);
+    std::iota(rows.begin(), rows.end(), 0);
+    std::sort(rows.begin(), rows.end(), [&](int64_t a, int64_t b) {
+      const size_t i = static_cast<size_t>(a);
+      const size_t j = static_cast<size_t>(b);
+      if (gid[i] != gid[j]) return gid[i] < gid[j];
+      return xs[i] < xs[j];
+    });
+    for (size_t k = 0; k < n; ++k) {
+      const size_t r = static_cast<size_t>(rows[k]);
+      const size_t prev = k == 0 ? 0 : static_cast<size_t>(rows[k - 1]);
+      if (k == 0 || gid[r] != gid[prev] || xs[r] != xs[prev]) {
+        ++(*counts)[static_cast<size_t>(gid[r])];
+      }
+    }
+    return;
+  }
+  std::vector<std::pair<int64_t, int64_t>> pairs(n);
+  if (in.type() == DataType::kInt64) {
+    const std::vector<int64_t>& xs = in.ints();
+    for (size_t r = 0; r < n; ++r) pairs[r] = {gid[r], xs[r]};
+  } else {
+    CACKLE_CHECK(in.type() == DataType::kString)
+        << "count distinct over doubles unsupported";
+    const StringDictionary& dict = in.dict();
+    std::vector<int32_t> canon(static_cast<size_t>(dict.size()));
+    for (size_t c = 0; c < canon.size(); ++c) {
+      canon[c] = dict.CodeOf(dict.values()[c]);
+    }
+    const std::vector<int32_t>& codes = in.codes();
+    for (size_t r = 0; r < n; ++r) {
+      pairs[r] = {gid[r], canon[static_cast<size_t>(codes[r])]};
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  for (size_t k = 0; k < n; ++k) {
+    if (k == 0 || pairs[k] != pairs[k - 1]) {
+      ++(*counts)[static_cast<size_t>(pairs[k].first)];
+    }
+  }
+}
+
 }  // namespace
 
 Table Filter(const Table& input, const ExprPtr& predicate) {
@@ -332,6 +384,62 @@ Table Project(const Table& input, const ExprPtr& filter,
     out.AddColumn(ColumnDef{ne.name, col.type()}, std::move(col));
   }
   return out;
+}
+
+namespace {
+
+/// The columns of `table` named in `names`, each filled by `fill(dst, src)`
+/// to `rows` rows; a row-count-only table when `names` is empty.
+template <typename Fill>
+Table NarrowBatch(const Table& table, const std::vector<std::string>& names,
+                  int64_t rows, const Fill& fill) {
+  if (names.empty()) return Table::RowsOnly(rows);
+  std::vector<int> cols = ResolveColumns(table, names);
+  std::vector<ColumnDef> defs;
+  defs.reserve(cols.size());
+  for (const int c : cols) defs.push_back(table.column_def(c));
+  Table out(std::move(defs));
+  for (size_t i = 0; i < cols.size(); ++i) {
+    fill(out.column(static_cast<int>(i)), table.column(cols[i]));
+  }
+  out.FinishBulkAppend();
+  return out;
+}
+
+}  // namespace
+
+TableScan::TableScan(ExprPtr filter, std::vector<NamedExpr> projections)
+    : filter_(std::move(filter)), projections_(std::move(projections)) {
+  const std::set<std::string> filter_cols = ReferencedColumns(filter_);
+  filter_columns_.assign(filter_cols.begin(), filter_cols.end());
+  std::set<std::string> project_cols;
+  for (const NamedExpr& ne : projections_) {
+    ne.expr->CollectColumns(&project_cols);
+  }
+  project_columns_.assign(project_cols.begin(), project_cols.end());
+}
+
+Table TableScan::Run(const Table& table, int64_t begin, int64_t end) const {
+  CACKLE_CHECK_GE(begin, 0);
+  CACKLE_CHECK_LE(begin, end);
+  CACKLE_CHECK_LE(end, table.num_rows());
+  const auto copy_range = [begin, end](Column& dst, const Column& src) {
+    dst.AppendRange(src, begin, end);
+  };
+  if (filter_ == nullptr) {
+    return Project(
+        NarrowBatch(table, project_columns_, end - begin, copy_range),
+        nullptr, projections_);
+  }
+  std::vector<int64_t> rows = EvalPredicateSelection(
+      filter_, NarrowBatch(table, filter_columns_, end - begin, copy_range));
+  for (int64_t& r : rows) r += begin;
+  return Project(NarrowBatch(table, project_columns_,
+                             static_cast<int64_t>(rows.size()),
+                             [&rows](Column& dst, const Column& src) {
+                               dst.AppendGather(src, rows);
+                             }),
+                 nullptr, projections_);
 }
 
 Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
@@ -557,15 +665,20 @@ Table HashAggregate(const Table& input,
   const std::vector<int> gcols = ResolveColumns(input, group_by);
   const int64_t n = input.num_rows();
 
-  // Evaluate aggregate inputs once over the whole table.
-  std::vector<Column> agg_inputs;
-  agg_inputs.reserve(aggregates.size());
-  for (const AggSpec& spec : aggregates) {
-    if (spec.input != nullptr) {
-      agg_inputs.push_back(spec.input->Eval(input));
-    } else {
+  // Aggregate inputs: column references are borrowed, anything else is
+  // evaluated once over the whole table.
+  std::vector<Column> agg_storage(aggregates.size());
+  std::vector<const Column*> agg_inputs(aggregates.size(), nullptr);
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const AggSpec& spec = aggregates[a];
+    if (spec.input == nullptr) {
       CACKLE_CHECK(spec.op == AggOp::kCount);
-      agg_inputs.emplace_back(DataType::kInt64);
+      continue;
+    }
+    agg_inputs[a] = spec.input->TryBorrow(input);
+    if (agg_inputs[a] == nullptr) {
+      agg_storage[a] = spec.input->Eval(input);
+      agg_inputs[a] = &agg_storage[a];
     }
   }
 
@@ -651,8 +764,6 @@ Table HashAggregate(const Table& input,
   const size_t na = aggregates.size();
   std::vector<std::vector<double>> sums(na), mins(na), maxs(na);
   std::vector<std::vector<int64_t>> counts(na);
-  std::vector<std::vector<std::set<int64_t>>> distinct_i(na);
-  std::vector<std::vector<std::set<std::string>>> distinct_s(na);
   auto run_aggregate = [&](size_t a) {
     const AggSpec& spec = aggregates[a];
     if (spec.op == AggOp::kCount) {
@@ -662,23 +773,10 @@ Table HashAggregate(const Table& input,
       }
       return;
     }
-    const Column& in = agg_inputs[a];
+    const Column& in = *agg_inputs[a];
     if (spec.op == AggOp::kCountDistinct) {
-      if (in.type() == DataType::kString) {
-        distinct_s[a].resize(static_cast<size_t>(num_groups));
-        for (int64_t r = 0; r < n; ++r) {
-          distinct_s[a][static_cast<size_t>(gid[static_cast<size_t>(r)])]
-              .insert(in.strings()[static_cast<size_t>(r)]);
-        }
-      } else if (in.type() == DataType::kInt64) {
-        distinct_i[a].resize(static_cast<size_t>(num_groups));
-        for (int64_t r = 0; r < n; ++r) {
-          distinct_i[a][static_cast<size_t>(gid[static_cast<size_t>(r)])]
-              .insert(in.ints()[static_cast<size_t>(r)]);
-        }
-      } else {
-        CACKLE_CHECK(false) << "count distinct over doubles unsupported";
-      }
+      counts[a].assign(static_cast<size_t>(num_groups), 0);
+      CountDistinct(gid, in, &counts[a]);
       return;
     }
     sums[a].assign(static_cast<size_t>(num_groups), 0.0);
@@ -770,16 +868,9 @@ Table HashAggregate(const Table& input,
                       : 0.0;
           break;
         case AggOp::kCount:
+        case AggOp::kCountDistinct:
           dst.AppendInt(counts[a][gi]);
           continue;
-        case AggOp::kCountDistinct: {
-          const size_t di =
-              distinct_i[a].empty() ? 0 : distinct_i[a][gi].size();
-          const size_t ds =
-              distinct_s[a].empty() ? 0 : distinct_s[a][gi].size();
-          dst.AppendInt(static_cast<int64_t>(di + ds));
-          continue;
-        }
       }
       if (dst.type() == DataType::kInt64) {
         dst.AppendInt(static_cast<int64_t>(value));

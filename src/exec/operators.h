@@ -25,6 +25,28 @@ Table Project(const Table& input, const ExprPtr& filter,
 /// Filters rows where `predicate` is non-zero, keeping the schema.
 Table Filter(const Table& input, const ExprPtr& predicate);
 
+/// \brief A late-materialized scan of a base table.
+///
+/// `Run(table, begin, end)` returns exactly `Project(table.Slice(begin, end),
+/// filter, projections)`: the same rows in the same order, every value and
+/// every dictionary sidecar. It copies only what the query reads: the
+/// filter's columns over [begin, end) to compute the selection, then the
+/// projections' columns, gathered once from the base table at the
+/// surviving row ids. The two column sets are resolved at construction.
+class TableScan {
+ public:
+  /// `filter` may be null (keep every row).
+  TableScan(ExprPtr filter, std::vector<NamedExpr> projections);
+
+  Table Run(const Table& table, int64_t begin, int64_t end) const;
+
+ private:
+  ExprPtr filter_;
+  std::vector<NamedExpr> projections_;
+  std::vector<std::string> filter_columns_;
+  std::vector<std::string> project_columns_;
+};
+
 /// \brief Join kinds supported by HashJoin.
 enum class JoinType {
   kInner,

@@ -24,7 +24,9 @@ class PlanBuilder {
 
   /// Parallel scan of a base table: each task reads a row slice, applies
   /// `filter` (nullable) and `projections`, and shuffles on `out_keys` into
-  /// `out_partitions` partitions (empty keys + 1 partition = gather).
+  /// `out_partitions` partitions (empty keys + 1 partition = gather). The
+  /// slice is late-materialized (TableScan): only the columns the filter
+  /// and the projections reference are copied.
   int AddScan(std::string label, const Table* table, int tasks,
               ExprPtr filter, std::vector<NamedExpr> projections,
               std::vector<std::string> out_keys, int out_partitions) {
@@ -33,14 +35,11 @@ class PlanBuilder {
     stage.num_tasks = tasks;
     stage.output_keys = std::move(out_keys);
     stage.output_partitions = out_partitions;
-    stage.run = [table, tasks, filter = std::move(filter),
-                 projections = std::move(projections)](
+    stage.run = [table, tasks,
+                 scan = TableScan(std::move(filter), std::move(projections))](
                     int t, const TaskInput&) -> Table {
       const int64_t n = table->num_rows();
-      const int64_t begin = n * t / tasks;
-      const int64_t end = n * (t + 1) / tasks;
-      const Table slice = table->Slice(begin, end);
-      return Project(slice, filter, projections);
+      return scan.Run(*table, n * t / tasks, n * (t + 1) / tasks);
     };
     return AddStage(std::move(stage));
   }

@@ -294,6 +294,13 @@ Table::Table(std::vector<ColumnDef> defs) : defs_(std::move(defs)) {
   for (const ColumnDef& def : defs_) columns_.emplace_back(def.type);
 }
 
+Table Table::RowsOnly(int64_t num_rows) {
+  CACKLE_CHECK_GE(num_rows, 0);
+  Table out;
+  out.num_rows_ = num_rows;
+  return out;
+}
+
 int Table::FindColumn(std::string_view name) const {
   for (size_t i = 0; i < defs_.size(); ++i) {
     if (defs_[i].name == name) return static_cast<int>(i);

@@ -162,6 +162,11 @@ class Table {
   Table() = default;
   explicit Table(std::vector<ColumnDef> defs);
 
+  /// A table with no columns and `num_rows` rows: the input of expressions
+  /// that read no column (literals), which still take their row count from
+  /// it.
+  static Table RowsOnly(int64_t num_rows);
+
   int64_t num_rows() const { return num_rows_; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -10,6 +12,7 @@
 #include "exec/expr.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
+#include "exec/query_builder.h"
 #include "exec/table.h"
 #include "exec/types.h"
 
@@ -345,6 +348,169 @@ TEST(ProjectTest, FilterThenProject) {
               {{Mul(Col("v"), Lit(2.0)), "v2"}, {Col("s"), "s"}});
   EXPECT_EQ(out.num_rows(), 3);  // k==1 at rows 1,4,7
   EXPECT_DOUBLE_EQ(out.column("v2").doubles()[0], 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// Late-materialized scan: PlanBuilder::AddScan against the slice-then-project
+// definition it replaced
+// ---------------------------------------------------------------------------
+
+/// `rows` rows of an int key, doubles with signed zeros and a denormal, a
+/// date, a dictionary-encoded string and a plain (unique, so never encoded)
+/// string. The tests use 1000 rows, which 3 and 7 tasks do not divide.
+Table ScanTestTable(int64_t rows) {
+  Table t({{"k", DataType::kInt64},
+           {"v", DataType::kFloat64},
+           {"d", DataType::kInt64},
+           {"mode", DataType::kString},
+           {"comment", DataType::kString}});
+  const char* const modes[] = {"AIR", "RAIL", "SHIP", "TRUCK", "MAIL"};
+  const double specials[] = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(), -1.5};
+  Rng rng(17);
+  for (int64_t i = 0; i < rows; ++i) {
+    t.column(0).AppendInt(rng.NextInt(-20, 80));
+    t.column(1).AppendDouble(i % 11 == 0 ? specials[i % 4]
+                                         : rng.NextDouble(-100.0, 100.0));
+    t.column(2).AppendInt(DateFromCivil(1992, 1, 1) + rng.NextInt(0, 2500));
+    t.column(3).AppendString(modes[rng.NextBounded(5)]);
+    std::string comment = "comment ";
+    comment += std::to_string(i);
+    t.column(4).AppendString(std::move(comment));
+  }
+  t.FinishBulkAppend();
+  t.DictEncodeStringColumns();
+  return t;
+}
+
+/// Schema, row count, dictionary sidecars and every value bitwise (doubles
+/// by bit pattern).
+void ExpectBitIdentical(const Table& want, const Table& got) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  ASSERT_EQ(want.num_columns(), got.num_columns());
+  for (int c = 0; c < want.num_columns(); ++c) {
+    SCOPED_TRACE(want.column_def(c).name);
+    EXPECT_EQ(want.column_def(c).name, got.column_def(c).name);
+    ASSERT_EQ(want.column_def(c).type, got.column_def(c).type);
+    const Column& w = want.column(c);
+    const Column& g = got.column(c);
+    ASSERT_EQ(w.has_dict(), g.has_dict());
+    switch (w.type()) {
+      case DataType::kInt64:
+        EXPECT_EQ(w.ints(), g.ints());
+        break;
+      case DataType::kFloat64: {
+        ASSERT_EQ(w.doubles().size(), g.doubles().size());
+        for (size_t r = 0; r < w.doubles().size(); ++r) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(w.doubles()[r]),
+                    std::bit_cast<uint64_t>(g.doubles()[r]))
+              << "row " << r;
+        }
+        break;
+      }
+      case DataType::kString:
+        EXPECT_EQ(w.strings(), g.strings());
+        if (w.has_dict()) {
+          EXPECT_EQ(w.dict_ptr(), g.dict_ptr());
+          EXPECT_EQ(w.codes(), g.codes());
+        }
+        break;
+    }
+  }
+}
+
+/// Runs every task of an AddScan stage over `table` at 1, 3 and 7 tasks and
+/// compares each task's output with Project(table.Slice(begin, end), ...).
+/// Returns the oracle's total row count over the 1-task run.
+int64_t CheckScanAgainstOracle(const Table& table, const ExprPtr& filter,
+                               const std::vector<NamedExpr>& projections) {
+  int64_t rows = 0;
+  for (const int tasks : {1, 3, 7}) {
+    PlanBuilder builder("scan_test");
+    builder.AddScan("scan", &table, tasks, filter, projections, {}, 1);
+    const StagePlan plan = builder.Build();
+    const int64_t n = table.num_rows();
+    for (int t = 0; t < tasks; ++t) {
+      SCOPED_TRACE(testing::Message() << "tasks " << tasks << " task " << t);
+      const Table oracle = Project(
+          table.Slice(n * t / tasks, n * (t + 1) / tasks), filter, projections);
+      ExpectBitIdentical(oracle, plan.stages[0].run(t, TaskInput{}));
+      if (tasks == 1) rows += oracle.num_rows();
+    }
+  }
+  return rows;
+}
+
+TEST(TableScanTest, FilterOnUnprojectedDictionaryColumn) {
+  const Table t = ScanTestTable(1000);
+  ASSERT_TRUE(t.column("mode").has_dict());
+  ASSERT_FALSE(t.column("comment").has_dict());
+  EXPECT_GT(CheckScanAgainstOracle(t, InString(Col("mode"), {"AIR", "MAIL"}),
+                                   {{Col("k"), "k"}, {Col("v"), "v"}}),
+            0);
+  EXPECT_GT(CheckScanAgainstOracle(
+                t, And(Eq(Col("mode"), Lit("RAIL")), Ge(Col("v"), Lit(0.0))),
+                {{Col("comment"), "comment"}, {Col("d"), "d"}}),
+            0);
+}
+
+TEST(TableScanTest, NoFilter) {
+  const Table t = ScanTestTable(1000);
+  EXPECT_EQ(CheckScanAgainstOracle(t, nullptr,
+                                   {{Col("comment"), "comment"},
+                                    {Col("mode"), "mode"},
+                                    {Col("v"), "v"}}),
+            1000);
+}
+
+TEST(TableScanTest, RenamedAndComputedProjections) {
+  const Table t = ScanTestTable(1000);
+  const std::vector<NamedExpr> projections = {
+      {Col("k"), "key"},
+      {Mul(Col("v"), Sub(Lit(1.0), Col("v"))), "rev"},
+      {Div(Col("k"), Col("v")), "ratio"},
+      {Year(Col("d")), "year"},
+      {Substr(Col("mode"), 2), "mode2"},
+      {If(Gt(Col("k"), Lit(int64_t{10})), Col("v"), Lit(0.0)), "cond"},
+      {Col("mode"), "shipmode"}};
+  EXPECT_GT(CheckScanAgainstOracle(
+                t, Lt(Col("d"), Lit(DateFromCivil(1996, 1, 1))), projections),
+            0);
+  EXPECT_EQ(CheckScanAgainstOracle(t, nullptr, projections), 1000);
+}
+
+TEST(TableScanTest, ProjectionReadingNoColumnKeepsRowCount) {
+  const Table t = ScanTestTable(1000);
+  const std::vector<NamedExpr> literal = {{Lit(int64_t{1}), "one"},
+                                          {Lit("x"), "tag"}};
+  const int64_t filtered =
+      CheckScanAgainstOracle(t, Eq(Col("mode"), Lit("SHIP")), literal);
+  EXPECT_GT(filtered, 0);
+  EXPECT_LT(filtered, 1000);
+  EXPECT_EQ(CheckScanAgainstOracle(t, nullptr, literal), 1000);
+  // A filter that reads no column either.
+  EXPECT_EQ(CheckScanAgainstOracle(t, Eq(Lit(int64_t{1}), Lit(int64_t{1})),
+                                   literal),
+            1000);
+}
+
+TEST(TableScanTest, ColumnInFilterAndProjection) {
+  const Table t = ScanTestTable(1000);
+  EXPECT_GT(CheckScanAgainstOracle(
+                t,
+                And(Lt(Col("k"), Lit(int64_t{30})),
+                    Ne(Col("mode"), Lit("AIR"))),
+                {{Col("k"), "k"}, {Add(Col("k"), Lit(int64_t{1})), "k1"},
+                 {Col("mode"), "mode"}}),
+            0);
+}
+
+TEST(TableScanTest, EmptyTable) {
+  const Table t = ScanTestTable(0);
+  EXPECT_EQ(CheckScanAgainstOracle(t, Eq(Col("mode"), Lit("AIR")),
+                                   {{Col("k"), "k"}, {Col("mode"), "mode"}}),
+            0);
+  EXPECT_EQ(CheckScanAgainstOracle(t, nullptr, {{Lit(2.0), "two"}}), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "exec/exec_metrics.h"
 #include "exec/expr.h"
 #include "exec/flat_hash.h"
@@ -362,6 +365,256 @@ TEST(AggregateVectorizedTest, CountDistinctAndAvgSingleRow) {
   EXPECT_EQ(agg.column("ds").ints()[0], 1);
   EXPECT_DOUBLE_EQ(agg.column("avg").doubles()[0], 41.0);
   EXPECT_EQ(agg.column("mn").ints()[0], 41);
+}
+
+/// `prefix` followed by `i` (append form: GCC 12 reports a false -Wrestrict
+/// on `"literal" + std::string` chains).
+std::string Numbered(const char* prefix, uint64_t i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
+TEST(AggregateVectorizedTest, CountDistinctMatchesBruteForce) {
+  Table t({{"g", DataType::kInt64},
+           {"i", DataType::kInt64},
+           {"ds", DataType::kString},
+           {"ps", DataType::kString}});
+  Rng rng(5);
+  for (int r = 0; r < 3000; ++r) {
+    t.column(0).AppendInt(rng.NextInt(0, 39));
+    t.column(1).AppendInt(rng.NextInt(-12, 12));
+    t.column(2).AppendString(Numbered("d", rng.NextBounded(12)));
+    t.column(3).AppendString(Numbered("p", rng.NextBounded(30)));
+  }
+  t.FinishBulkAppend();
+  ASSERT_TRUE(t.column(2).DictEncode());
+  ASSERT_FALSE(t.column(3).has_dict());
+  const std::vector<AggSpec> aggs = {
+      {AggOp::kCountDistinct, Col("i"), "di"},
+      {AggOp::kCountDistinct, Col("ds"), "dds"},
+      {AggOp::kCountDistinct, Col("ps"), "dps"}};
+
+  std::map<int64_t, std::set<int64_t>> ints;
+  std::map<int64_t, std::set<std::string>> dict_strings, plain_strings;
+  std::set<int64_t> all_ints;
+  std::set<std::string> all_dict, all_plain;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int64_t g = t.column(0).ints()[i];
+    ints[g].insert(t.column(1).ints()[i]);
+    dict_strings[g].insert(t.column(2).strings()[i]);
+    plain_strings[g].insert(t.column(3).strings()[i]);
+    all_ints.insert(t.column(1).ints()[i]);
+    all_dict.insert(t.column(2).strings()[i]);
+    all_plain.insert(t.column(3).strings()[i]);
+  }
+
+  const Table grouped = HashAggregate(t, {"g"}, aggs);
+  ASSERT_EQ(grouped.num_rows(), static_cast<int64_t>(ints.size()));
+  for (int64_t r = 0; r < grouped.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int64_t g = grouped.column("g").ints()[i];
+    EXPECT_EQ(grouped.column("di").ints()[i],
+              static_cast<int64_t>(ints[g].size()));
+    EXPECT_EQ(grouped.column("dds").ints()[i],
+              static_cast<int64_t>(dict_strings[g].size()));
+    EXPECT_EQ(grouped.column("dps").ints()[i],
+              static_cast<int64_t>(plain_strings[g].size()));
+  }
+
+  const Table global = HashAggregate(t, {}, aggs);
+  ASSERT_EQ(global.num_rows(), 1);
+  EXPECT_EQ(global.column("di").ints()[0],
+            static_cast<int64_t>(all_ints.size()));
+  EXPECT_EQ(global.column("dds").ints()[0],
+            static_cast<int64_t>(all_dict.size()));
+  EXPECT_EQ(global.column("dps").ints()[0],
+            static_cast<int64_t>(all_plain.size()));
+
+  const Table empty = HashAggregate(t.Slice(0, 0), {}, aggs);
+  ASSERT_EQ(empty.num_rows(), 1);
+  EXPECT_EQ(empty.column("di").ints()[0], 0);
+  EXPECT_EQ(empty.column("dds").ints()[0], 0);
+  EXPECT_EQ(empty.column("dps").ints()[0], 0);
+  EXPECT_EQ(HashAggregate(t.Slice(0, 0), {"g"}, aggs).num_rows(), 0);
+}
+
+TEST(AggregateVectorizedTest, CountDistinctDictionaryRepeatingAValue) {
+  // Two codes for "a": the distinct count is over strings, not codes.
+  Column s(DataType::kString);
+  for (const char* v : {"a", "b", "a", "a"}) s.AppendString(v);
+  s.AttachDictionary(std::make_shared<StringDictionary>(
+                         std::vector<std::string>{"a", "b", "a"}),
+                     {0, 1, 2, 0});
+  Table t;
+  t.AddColumn({"s", DataType::kString}, std::move(s));
+  const Table agg =
+      HashAggregate(t, {}, {{AggOp::kCountDistinct, Col("s"), "n"}});
+  EXPECT_EQ(agg.column("n").ints()[0], 2);
+}
+
+// --- expression kernels against a row-at-a-time reference ------------------
+
+/// An arithmetic operand: its expression and its value on every row.
+struct RefOperand {
+  ExprPtr expr;
+  bool is_int;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  double AsDouble(size_t r) const {
+    return is_int ? static_cast<double>(ints[r]) : doubles[r];
+  }
+};
+
+Table KernelTable() {
+  // Zeros in every column (division by zero), negatives, -0.0 and a
+  // fraction so promotions and signed zeros show.
+  Table t({{"i", DataType::kInt64},
+           {"j", DataType::kInt64},
+           {"x", DataType::kFloat64},
+           {"y", DataType::kFloat64},
+           {"c", DataType::kInt64},
+           {"s", DataType::kString}});
+  const int64_t is[] = {0, 1, -3, 7, 12, -1, 5, 0};
+  const int64_t js[] = {2, 0, 4, -2, 0, 9, 5, -6};
+  const double xs[] = {0.0, -0.0, 2.5, -7.25, 1e10, 3.0, 0.1, -1.0};
+  const double ys[] = {0.0, 3.0, -0.0, 0.5, -2.0, 0.0, 0.3, 4.0};
+  for (size_t r = 0; r < 8; ++r) {
+    t.column(0).AppendInt(is[r]);
+    t.column(1).AppendInt(js[r]);
+    t.column(2).AppendDouble(xs[r]);
+    t.column(3).AppendDouble(ys[r]);
+    t.column(4).AppendInt(static_cast<int64_t>(r % 3 == 0));
+    t.column(5).AppendString(Numbered("s", r));
+  }
+  t.FinishBulkAppend();
+  return t;
+}
+
+std::vector<RefOperand> KernelOperands(const Table& t) {
+  const size_t n = static_cast<size_t>(t.num_rows());
+  std::vector<RefOperand> out;
+  for (const char* name : {"i", "j"}) {
+    out.push_back({Col(name), true, t.column(name).ints(), {}});
+  }
+  for (const char* name : {"x", "y"}) {
+    out.push_back({Col(name), false, {}, t.column(name).doubles()});
+  }
+  for (const int64_t v : {int64_t{0}, int64_t{-4}}) {
+    out.push_back({Lit(v), true, std::vector<int64_t>(n, v), {}});
+  }
+  for (const double v : {0.0, 2.5}) {
+    out.push_back({Lit(v), false, {}, std::vector<double>(n, v)});
+  }
+  // A computed (non-borrowable) operand.
+  std::vector<int64_t> sum(n);
+  for (size_t r = 0; r < n; ++r) {
+    sum[r] = t.column("i").ints()[r] + t.column("j").ints()[r];
+  }
+  out.push_back({Add(Col("i"), Col("j")), true, sum, {}});
+  return out;
+}
+
+void ExpectSameBits(const std::vector<double>& want,
+                    const std::vector<double>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(want[r]), std::bit_cast<uint64_t>(got[r]))
+        << "row " << r << ": " << want[r] << " vs " << got[r];
+  }
+}
+
+TEST(ExprKernelTest, ArithmeticMatchesRowAtATimeReference) {
+  const Table t = KernelTable();
+  const size_t n = static_cast<size_t>(t.num_rows());
+  const std::vector<RefOperand> operands = KernelOperands(t);
+  enum { kAdd, kSub, kMul, kDiv };
+  ExprPtr (*const make[])(ExprPtr, ExprPtr) = {Add, Sub, Mul, Div};
+  for (int op = kAdd; op <= kDiv; ++op) {
+    for (size_t ia = 0; ia < operands.size(); ++ia) {
+      for (size_t ib = 0; ib < operands.size(); ++ib) {
+        SCOPED_TRACE(testing::Message()
+                     << "op " << op << " operands " << ia << "," << ib);
+        const RefOperand& a = operands[ia];
+        const RefOperand& b = operands[ib];
+        const Column got = make[op](a.expr, b.expr)->Eval(t);
+        if (op != kDiv && a.is_int && b.is_int) {
+          ASSERT_EQ(got.type(), DataType::kInt64);
+          for (size_t r = 0; r < n; ++r) {
+            const int64_t x = a.ints[r];
+            const int64_t y = b.ints[r];
+            const int64_t want =
+                op == kAdd ? x + y : (op == kSub ? x - y : x * y);
+            EXPECT_EQ(got.ints()[r], want) << "row " << r;
+          }
+          continue;
+        }
+        ASSERT_EQ(got.type(), DataType::kFloat64);
+        std::vector<double> want(n);
+        for (size_t r = 0; r < n; ++r) {
+          const double x = a.AsDouble(r);
+          const double y = b.AsDouble(r);
+          switch (op) {
+            case kAdd: want[r] = x + y; break;
+            case kSub: want[r] = x - y; break;
+            case kMul: want[r] = x * y; break;
+            default: want[r] = y == 0.0 ? 0.0 : x / y; break;
+          }
+        }
+        ExpectSameBits(want, got.doubles());
+      }
+    }
+  }
+}
+
+TEST(ExprKernelTest, IfYearSubstrMatchRowAtATimeReference) {
+  const Table t = KernelTable();
+  const size_t n = static_cast<size_t>(t.num_rows());
+  const std::vector<RefOperand> operands = KernelOperands(t);
+  const std::vector<int64_t>& cond = t.column("c").ints();
+  for (size_t ia = 0; ia < operands.size(); ++ia) {
+    for (size_t ib = 0; ib < operands.size(); ++ib) {
+      SCOPED_TRACE(testing::Message() << "operands " << ia << "," << ib);
+      const RefOperand& a = operands[ia];
+      const RefOperand& b = operands[ib];
+      const Column got = If(Col("c"), a.expr, b.expr)->Eval(t);
+      if (a.is_int && b.is_int) {
+        ASSERT_EQ(got.type(), DataType::kInt64);
+        for (size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(got.ints()[r], cond[r] != 0 ? a.ints[r] : b.ints[r]);
+        }
+        continue;
+      }
+      ASSERT_EQ(got.type(), DataType::kFloat64);
+      std::vector<double> want(n);
+      for (size_t r = 0; r < n; ++r) {
+        want[r] = cond[r] != 0 ? a.AsDouble(r) : b.AsDouble(r);
+      }
+      ExpectSameBits(want, got.doubles());
+    }
+  }
+  // String branches: column/column, column/literal, literal/column, and a
+  // computed condition.
+  const std::vector<std::string>& s = t.column("s").strings();
+  const Column cc = If(Col("c"), Col("s"), Col("s"))->Eval(t);
+  EXPECT_EQ(cc.strings(), s);
+  const Column cl =
+      If(Gt(Col("i"), Lit(int64_t{0})), Col("s"), Lit("none"))->Eval(t);
+  const Column lc = If(Col("c"), Lit("yes"), Col("s"))->Eval(t);
+  for (size_t r = 0; r < n; ++r) {
+    EXPECT_EQ(cl.strings()[r], t.column("i").ints()[r] > 0 ? s[r] : "none");
+    EXPECT_EQ(lc.strings()[r], cond[r] != 0 ? "yes" : s[r]);
+  }
+
+  const Column years =
+      Year(Add(Col("i"), Lit(DateFromCivil(1995, 12, 31))))->Eval(t);
+  const Column prefixes = Substr(Col("s"), 1)->Eval(t);
+  for (size_t r = 0; r < n; ++r) {
+    const int64_t date = t.column("i").ints()[r] + DateFromCivil(1995, 12, 31);
+    EXPECT_EQ(years.ints()[r], CivilFromDate(date).year);
+    EXPECT_EQ(prefixes.strings()[r], s[r].substr(0, 1));
+  }
 }
 
 // --- selection-vector filtering ---------------------------------------------
