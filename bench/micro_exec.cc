@@ -5,16 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
 
 #include "bench/micro_main.h"
-#include "common/thread_pool.h"
 #include "exec/datagen.h"
 #include "exec/expr.h"
 #include "exec/flat_hash.h"
-#include "exec/op_context.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
 #include "exec/logical.h"
@@ -65,71 +62,6 @@ void BM_HashAggregateLineitem(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cat.lineitem.num_rows());
 }
 BENCHMARK(BM_HashAggregateLineitem);
-
-// ---------------------------------------------------------------------------
-// Morsel variants of the join and aggregate kernels. Each variant name maps
-// to its scalar sibling by dropping the suffix (bench_compare.py pairs
-// them), so the artifact records what morsel splitting buys — or costs —
-// against the exact same workload in the same run. On a
-// 1-core CI runner the MorselN variants mostly measure scheduling overhead
-// and determinism, not speedup; the artifact header records available_cores
-// so readers can tell which regime a number came from.
-// ---------------------------------------------------------------------------
-
-void JoinWithKnobs(benchmark::State& state, int pool_threads,
-                   int64_t morsel_rows) {
-  const Catalog& cat = BenchCatalog();
-  const Table orders = SelectColumns(cat.orders, {"o_orderkey", "o_custkey"});
-  const Table line = SelectColumns(cat.lineitem, {"l_orderkey", "l_quantity"});
-  std::unique_ptr<ThreadPool> pool;
-  if (pool_threads > 1) pool = std::make_unique<ThreadPool>(pool_threads);
-  OpExecContext ctx;
-  ctx.pool = pool.get();
-  ctx.morsel_rows = morsel_rows;
-  const ScopedOpExecContext scope(&ctx);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        HashJoin(line, {"l_orderkey"}, orders, {"o_orderkey"}));
-  }
-  state.SetItemsProcessed(state.iterations() * line.num_rows());
-}
-
-void BM_HashJoinOrdersLineitemMorsel2(benchmark::State& state) {
-  JoinWithKnobs(state, 2, /*morsel_rows=*/4096);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel2);
-
-void BM_HashJoinOrdersLineitemMorsel4(benchmark::State& state) {
-  JoinWithKnobs(state, 4, /*morsel_rows=*/4096);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel4);
-
-void AggregateWithKnobs(benchmark::State& state, int pool_threads,
-                        int64_t morsel_rows) {
-  const Catalog& cat = BenchCatalog();
-  ThreadPool pool(pool_threads);
-  OpExecContext ctx;
-  ctx.pool = &pool;
-  ctx.morsel_rows = morsel_rows;
-  const ScopedOpExecContext scope(&ctx);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HashAggregate(
-        cat.lineitem, {"l_returnflag", "l_linestatus"},
-        {{AggOp::kSum, Col("l_quantity"), "sum_qty"},
-         {AggOp::kCount, nullptr, "cnt"}}));
-  }
-  state.SetItemsProcessed(state.iterations() * cat.lineitem.num_rows());
-}
-
-void BM_HashAggregateLineitemMorsel2(benchmark::State& state) {
-  AggregateWithKnobs(state, 2, 4096);
-}
-BENCHMARK(BM_HashAggregateLineitemMorsel2);
-
-void BM_HashAggregateLineitemMorsel4(benchmark::State& state) {
-  AggregateWithKnobs(state, 4, 4096);
-}
-BENCHMARK(BM_HashAggregateLineitemMorsel4);
 
 void BM_FilterDictStringPredicate(benchmark::State& state) {
   // String equality over a dictionary-encoded column: the predicate is
@@ -219,7 +151,7 @@ BENCHMARK(BM_TpchQuery)->Arg(1)->Arg(3)->Arg(6)->Arg(9)->Arg(18)->Arg(21);
 
 // ---------------------------------------------------------------------------
 // End-to-end multi-stage plan execution: the executor's persistent
-// work-stealing pool vs a per-stage thread-spawn design (bench_compare.py
+// thread pool vs a per-stage thread-spawn design (bench_compare.py
 // pairs BM_MultiStagePlan with BM_MultiStagePlanSpawn). The plan is wide and
 // deep with deliberately small tasks, so scheduling overhead — not operator
 // work — dominates, which is exactly the regime where spawning fresh threads

@@ -216,14 +216,6 @@ struct SweepPoint {
   uint64_t checksum = 0;
 };
 
-// EngineQueries throughput from the committed BENCH_sim_core.json measured
-// BEFORE the task-countdown bookkeeping moved to a struct-of-arrays layout
-// (per-query heap vectors inside QueryState back then). Kept here so the
-// artifact carries an explicit before/after for that refactor instead of
-// relying on readers diffing artifact history.
-constexpr double kAosEngineQueriesHeap = 1790.1561532757273;
-constexpr double kAosEngineQueriesCalendar = 2073.7827572520955;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,9 +240,9 @@ int main(int argc, char** argv) {
     const char* label;
   } schedulers[] = {{SimScheduler::kBinaryHeap, "Heap"},
                     {SimScheduler::kCalendarQueue, "Calendar"}};
-  // Scheduler mixes run best-of-N: this is a single-core host, so one
-  // repetition is at the mercy of OS jitter; the max throughput over a few
-  // repetitions is the stable estimate of what the code can do.
+  // Scheduler mixes run best-of-N: one repetition is at the mercy of OS
+  // jitter; the max throughput over a few repetitions is the stable
+  // estimate of what the code can do.
   const int reps = fast ? 1 : 3;
   const auto best = [reps](const std::function<Measurement()>& run) {
     Measurement best_m = run();
@@ -325,15 +317,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "calendar vs heap: hold " << hold_speedup << "x, burst "
             << burst_speedup << "x, cancel-churn " << churn_speedup << "x\n";
-  const double soa_heap =
-      find("SimCore/EngineQueries/Heap").items_per_second;
-  const double soa_calendar =
-      find("SimCore/EngineQueries/Calendar").items_per_second;
-  if (soa_heap > 0 && soa_calendar > 0) {
-    std::cout << "engine queries vs pre-SoA bookkeeping: heap "
-              << soa_heap / kAosEngineQueriesHeap << "x, calendar "
-              << soa_calendar / kAosEngineQueriesCalendar << "x\n";
-  }
   bool checksums_identical = true;
   for (const SweepPoint& p : sweep) {
     checksums_identical &= p.checksum == sweep.front().checksum;
@@ -383,20 +366,6 @@ int main(int argc, char** argv) {
   w.Field("calendar_vs_heap_hold", hold_speedup);
   w.Field("calendar_vs_heap_burst_drain", burst_speedup);
   w.Field("calendar_vs_heap_cancel_churn", churn_speedup);
-  if (soa_heap > 0 && soa_calendar > 0) {
-    // Before/after for the engine's task-countdown layout: the "before"
-    // constants are the committed AoS numbers (see kAosEngineQueries*).
-    w.Key("task_bookkeeping_soa");
-    w.BeginObject();
-    w.Field("before_aos_heap_queries_per_s", kAosEngineQueriesHeap);
-    w.Field("before_aos_calendar_queries_per_s", kAosEngineQueriesCalendar);
-    w.Field("after_soa_heap_queries_per_s", soa_heap);
-    w.Field("after_soa_calendar_queries_per_s", soa_calendar);
-    w.Field("heap_speedup_vs_aos", soa_heap / kAosEngineQueriesHeap);
-    w.Field("calendar_speedup_vs_aos",
-            soa_calendar / kAosEngineQueriesCalendar);
-    w.EndObject();
-  }
   w.Key("sweep");
   w.BeginArray();
   for (const SweepPoint& p : sweep) {

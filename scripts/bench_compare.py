@@ -106,9 +106,7 @@ def environment_header(path):
     Pulls available_cores / cxx_flags out of google-benchmark's context
     block (bench/micro_main.h registers them via AddCustomContext) so the
     committed artifact states on its face how many cores the numbers were
-    measured on. On a 1-core runner the morsel variants only prove determinism, not
-    speedup — the caveat spells that out rather than leaving a misleading
-    ~1.0x in the record.
+    measured on.
     """
     with open(path) as f:
         ctx = json.load(f).get("context", {})
@@ -117,16 +115,11 @@ def environment_header(path):
         cores = int(cores)
     except (TypeError, ValueError):
         cores = None
-    header = {
+    return {
         "available_cores": cores,
         "cxx_flags": ctx.get("cxx_flags"),
         "library_build_type": ctx.get("library_build_type"),
     }
-    if cores is not None and cores <= 1:
-        header["caveat"] = (
-            "measured on a 1-core runner: MorselN variants exercise "
-            "scheduling determinism, not parallel speedup")
-    return header
 
 
 def spawn_speedups(run):
@@ -134,16 +127,15 @@ def spawn_speedups(run):
 
     Benchmarks come in variant families measured in the same invocation:
     the multi-stage plan executor against its per-stage thread-spawn
-    baseline (MultiStagePlan vs MultiStagePlanSpawn), the simulation-kernel
+    baseline (MultiStagePlan vs MultiStagePlanSpawn) and the simulation-kernel
     benchmarks as Heap/Calendar (binary-heap baseline vs calendar-queue
-    scheduler), and the intra-operator MorselN variants whose scalar sibling
-    is the same name with the suffix dropped. For each non-baseline variant
+    scheduler). For each non-baseline variant
     this reports how much faster it runs than its baseline sibling of the
     same invocation, so the artifact records the comparison even when the
     committed cross-run baseline predates these benchmarks.
     """
     pairs = (("MultiStagePlan/", "MultiStagePlanSpawn/"),
-             ("Calendar", "Heap"), ("Morsel2", ""), ("Morsel4", ""))
+             ("Calendar", "Heap"))
     out = {}
     for name, entry in run.items():
         for variant, baseline in pairs:

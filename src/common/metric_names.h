@@ -115,10 +115,6 @@ inline constexpr char kExecFilterSelectionVectors[] =
     "exec.filter.selection_vectors";
 inline constexpr char kExecFilterDictPredicates[] =
     "exec.filter.dict_predicates";
-// Intra-operator parallelism counters (morsel scheduling). The exec.morsel.*
-// prefix is reserved to this header by the cackle-metric-prefix lint check.
-inline constexpr char kExecMorselTasks[] = "exec.morsel.tasks";
-inline constexpr char kExecMorselOperators[] = "exec.morsel.operators";
 
 // ------------------------------------------- PlanExecutor suffixes (+prefix)
 inline constexpr char kSuffixPlansRun[] = ".plans_run";
@@ -128,8 +124,6 @@ inline constexpr char kSuffixStagesRun[] = ".stages_run";
 inline constexpr char kSuffixWorkers[] = ".workers";
 inline constexpr char kSuffixTasksSubmitted[] = ".tasks_submitted";
 inline constexpr char kSuffixTasksRun[] = ".tasks_run";
-inline constexpr char kSuffixSteals[] = ".steals";
-inline constexpr char kSuffixTasksStolen[] = ".tasks_stolen";
 inline constexpr char kSuffixHelperRuns[] = ".helper_runs";
 inline constexpr char kSuffixBusyMicros[] = ".busy_micros";
 inline constexpr char kSuffixMaxQueueDepth[] = ".max_queue_depth";

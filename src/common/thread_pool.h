@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,15 +16,16 @@ namespace cackle {
 class MetricsRegistry;
 class TaskGroup;
 
-/// \brief A persistent work-stealing thread pool (morsel-style execution
-/// substrate for the query executor).
+/// \brief A persistent thread pool: one FIFO task queue shared by a fixed
+/// set of workers (the execution substrate for the query executor and the
+/// sweep runner).
 ///
-/// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
-/// cache-friendly for task chains that spawn subtasks), thieves steal half
-/// of a victim's queue from the front (FIFO end, the oldest work). Tasks
-/// submitted from a pool thread land on that worker's own deque; external
-/// submissions are spread round-robin. Idle workers sleep on a condition
-/// variable and are woken per submission.
+/// Submissions append to the back of one `Mutex`-guarded deque; workers
+/// and TaskGroup::Wait helpers pop the oldest task from the front. Idle
+/// workers sleep on a condition variable that each submission signals.
+/// The traffic is flat waves of coarse tasks (a stage phase's slots, a
+/// sweep's cells), so one lock per push and pop is all the scheduling it
+/// needs.
 ///
 /// Tasks are plain closures grouped into TaskGroups; a group's context
 /// string is installed as the thread-local log context while its tasks run,
@@ -44,14 +44,11 @@ class ThreadPool {
   struct Stats {
     int64_t tasks_submitted = 0;
     int64_t tasks_run = 0;
-    /// Steal operations that moved at least one task / tasks moved by them.
-    int64_t steals = 0;
-    int64_t tasks_stolen = 0;
     /// Tasks executed by threads helping from TaskGroup::Wait.
     int64_t helper_runs = 0;
     /// Summed wall-clock microseconds spent inside task bodies.
     int64_t busy_micros = 0;
-    /// Deepest any single worker deque has been.
+    /// Deepest the queue has been.
     int64_t max_queue_depth = 0;
   };
 
@@ -61,12 +58,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(queues_.size()); }
+  int num_threads() const { return static_cast<int>(workers_.size()); }
 
   Stats stats() const;
 
   /// Exports the lifetime totals as counters under `prefix` (e.g.
-  /// "exec.pool" -> exec.pool.tasks_run, exec.pool.steals, ...).
+  /// "exec.pool" -> exec.pool.tasks_run, exec.pool.helper_runs, ...).
   void ExportMetrics(MetricsRegistry* metrics,
                      const std::string& prefix) const;
 
@@ -78,42 +75,26 @@ class ThreadPool {
     TaskGroup* group = nullptr;
   };
 
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<Task> tasks CACKLE_GUARDED_BY(mu);
-  };
-
   /// Enqueues a task (group-owned; called by TaskGroup::Submit).
   void Submit(Task task);
-  /// Runs one queued task if any is available. `worker` is the caller's
-  /// own queue index, or -1 for non-worker helpers. Returns false when
-  /// every queue was observed empty.
-  bool RunOneTask(int worker);
-  bool PopOwn(int worker, Task* out);
-  bool StealTasks(int thief, Task* out);
+  /// Pops and runs the oldest queued task; false when the queue is empty.
+  bool RunOneTask();
   void Execute(Task task, bool helper);
-  void WorkerLoop(int worker);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  /// Pure park/unpark handshake: pairs stop_/queued_ (atomics) with
-  /// idle_cv_ so a worker cannot miss a wakeup between its predicate check
-  /// and the wait. Guards no plain data by design.
-  Mutex idle_mu_;  // NOLINT(cackle-lock-annotation): condvar handshake only; stop_/queued_ stay atomics so the submit fast path never takes this lock.
-  CondVar idle_cv_;
-  std::atomic<bool> stop_{false};
-  /// Round-robin cursor for external submissions.
-  std::atomic<uint64_t> next_queue_{0};
-  /// Tasks currently sitting in queues (not yet popped).
-  std::atomic<int64_t> queued_{0};
+  mutable Mutex mu_;
+  /// Signalled once per submission and on shutdown.
+  CondVar cv_;
+  std::deque<Task> queue_ CACKLE_GUARDED_BY(mu_);
+  bool stop_ CACKLE_GUARDED_BY(mu_) = false;
+  int64_t tasks_submitted_ CACKLE_GUARDED_BY(mu_) = 0;
+  int64_t max_queue_depth_ CACKLE_GUARDED_BY(mu_) = 0;
 
-  std::atomic<int64_t> tasks_submitted_{0};
   std::atomic<int64_t> tasks_run_{0};
-  std::atomic<int64_t> steals_{0};
-  std::atomic<int64_t> tasks_stolen_{0};
   std::atomic<int64_t> helper_runs_{0};
   std::atomic<int64_t> busy_micros_{0};
-  std::atomic<int64_t> max_queue_depth_{0};
+  /// Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 /// \brief A batch of pool tasks that can be awaited together.

@@ -42,10 +42,6 @@ struct ExecKernelMetrics {
   /// Dictionary-aware predicate evaluations (match computed per dict entry,
   /// then applied per row via codes).
   std::atomic<int64_t> dict_predicate_evals{0};
-  /// Morsel tasks scheduled on the pool by intra-operator loops / operator
-  /// invocations that split into more than one morsel.
-  std::atomic<int64_t> morsel_tasks{0};
-  std::atomic<int64_t> morsel_operators{0};
   void Reset();
 };
 
@@ -57,8 +53,7 @@ ExecKernelMetrics& ExecMetrics();
 ///   exec.keys.packed, exec.keys.fallback,
 ///   exec.dict.columns_encoded, exec.dict.encodes_abandoned,
 ///   exec.dict.total_entries, exec.gather.rows,
-///   exec.filter.selection_vectors, exec.filter.dict_predicates,
-///   exec.morsel.tasks, exec.morsel.operators
+///   exec.filter.selection_vectors, exec.filter.dict_predicates
 void PublishExecMetrics(MetricsRegistry& registry);
 
 }  // namespace cackle::exec

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "exec/exec_metrics.h"
 #include "exec/flat_hash.h"
 #include "exec/op_context.h"
@@ -266,50 +265,6 @@ int64_t ExpectedKeys(int64_t rows, const std::vector<PackedCol>& plan) {
   return std::min<int64_t>(rows, int64_t{1} << 20);
 }
 
-// --- morsel scheduling ------------------------------------------------------
-
-/// Number of fixed row-range morsels [0, n) splits into under `ctx`.
-int64_t MorselCount(int64_t n, const OpExecContext& ctx) {
-  if (n <= 0) return 0;
-  if (ctx.morsel_rows <= 0 || n <= ctx.morsel_rows) return 1;
-  return (n + ctx.morsel_rows - 1) / ctx.morsel_rows;
-}
-
-/// Runs `fn(begin, end, morsel_index)` over the morsels of [0, n). Morsels
-/// only ever write disjoint per-index state, so ordering inside the wave is
-/// free: with a pool they run as TaskGroup tasks (the caller helps while
-/// waiting), otherwise inline in morsel-index order. Any merge of morsel
-/// partials happens in the caller, in morsel-index order — that rule is
-/// what keeps results bit-identical at every thread count.
-template <typename Fn>
-void ForEachMorsel(int64_t n, const OpExecContext& ctx, const Fn& fn) {
-  const int64_t count = MorselCount(n, ctx);
-  if (count <= 1) {
-    if (count == 1) fn(int64_t{0}, n, int64_t{0});
-    return;
-  }
-  const int64_t step = ctx.morsel_rows;
-  ExecMetrics().morsel_operators.fetch_add(1, std::memory_order_relaxed);
-  ExecMetrics().morsel_tasks.fetch_add(count, std::memory_order_relaxed);
-  if (ctx.pool == nullptr) {
-    for (int64_t m = 0; m < count; ++m) {
-      fn(m * step, std::min(n, (m + 1) * step), m);
-    }
-    return;
-  }
-  TaskGroup group(ctx.pool, "morsel");
-  for (int64_t m = 0; m < count; ++m) {
-    group.Submit(
-        [&fn, n, step, m] { fn(m * step, std::min(n, (m + 1) * step), m); });
-  }
-  group.Wait();
-}
-
-/// True when operators should fan their internal phases onto the pool.
-bool IntraOpParallel(const OpExecContext& ctx) {
-  return ctx.pool != nullptr && ctx.morsel_rows > 0;
-}
-
 /// Adds to counts[g] the number of distinct values of `in` among the rows
 /// of group g (`gid[r]` is row r's group). Sorts (group, value) pairs and
 /// counts each group's runs of equal values; dictionary strings compare by
@@ -480,18 +435,14 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
                                                    std::memory_order_relaxed);
     const int64_t nr = right.num_rows();
     const int64_t nl = left.num_rows();
-    // Packed build keys and hashes, precomputed morsel-parallel (each
-    // morsel writes a disjoint range). Group-id assignment below stays
-    // ordered, which pins chain contents to ascending build-row order.
+    // Packed build keys and hashes, precomputed in one pass.
     std::vector<uint64_t> rkeys(static_cast<size_t>(nr));
     std::vector<uint64_t> rhash(static_cast<size_t>(nr));
-    ForEachMorsel(nr, ctx, [&](int64_t b, int64_t e, int64_t) {
-      for (int64_t r = b; r < e; ++r) {
-        const uint64_t key = PackRow(rplan, r);
-        rkeys[static_cast<size_t>(r)] = key;
-        rhash[static_cast<size_t>(r)] = Mix64(key);
-      }
-    });
+    for (int64_t r = 0; r < nr; ++r) {
+      const uint64_t key = PackRow(rplan, r);
+      rkeys[static_cast<size_t>(r)] = key;
+      rhash[static_cast<size_t>(r)] = Mix64(key);
+    }
     scratch_bytes += nr * 16;
 
     // Ordered FindOrInsert over the precomputed keys pins group numbering
@@ -515,26 +466,23 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
                                                std::memory_order_relaxed);
     scratch_bytes += map.capacity() * 16;
 
-    // Probe: morsel-parallel over left rows, each morsel writing its own
-    // probe_gid slots. Keys hash in 8-row batches feeding a prefetch wave
-    // before the dependent table walks.
-    ForEachMorsel(nl, ctx, [&](int64_t b, int64_t e, int64_t) {
-      constexpr int64_t kBatch = 8;
-      uint64_t keys[kBatch];
-      uint64_t hashes[kBatch];
-      for (int64_t base = b; base < e; base += kBatch) {
-        const int64_t cnt = std::min(kBatch, e - base);
-        for (int64_t i = 0; i < cnt; ++i) {
-          keys[i] = PackRow(lplan, base + i);
-          hashes[i] = Mix64(keys[i]);
-        }
-        for (int64_t i = 0; i < cnt; ++i) map.Prefetch(hashes[i]);
-        for (int64_t i = 0; i < cnt; ++i) {
-          probe_gid[static_cast<size_t>(base + i)] =
-              map.FindHashed(keys[i], hashes[i]);
-        }
+    // Probe: keys hash in 8-row batches feeding a prefetch wave before
+    // the dependent table walks.
+    constexpr int64_t kBatch = 8;
+    uint64_t keys[kBatch];
+    uint64_t hashes[kBatch];
+    for (int64_t base = 0; base < nl; base += kBatch) {
+      const int64_t cnt = std::min(kBatch, nl - base);
+      for (int64_t i = 0; i < cnt; ++i) {
+        keys[i] = PackRow(lplan, base + i);
+        hashes[i] = Mix64(keys[i]);
       }
-    });
+      for (int64_t i = 0; i < cnt; ++i) map.Prefetch(hashes[i]);
+      for (int64_t i = 0; i < cnt; ++i) {
+        probe_gid[static_cast<size_t>(base + i)] =
+            map.FindHashed(keys[i], hashes[i]);
+      }
+    }
   } else {
     ExecMetrics().key_fallback_activations.fetch_add(
         1, std::memory_order_relaxed);
@@ -557,70 +505,43 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
     }
   }
 
-  // Emit as row-index lists: morsel-parallel into per-morsel chunks, then
-  // concatenated in morsel-index order == ascending left-row order, so the
-  // output rows match the serial single-loop emit exactly.
+  // Emit as row-index lists in ascending left-row order.
   const int64_t emit_rows = left.num_rows();
-  const size_t num_chunks =
-      static_cast<size_t>(std::max<int64_t>(MorselCount(emit_rows, ctx), 1));
-  std::vector<std::vector<int64_t>> chunk_l(num_chunks);
-  std::vector<std::vector<int64_t>> chunk_r(num_chunks);
-  ForEachMorsel(emit_rows, ctx, [&](int64_t b, int64_t e, int64_t m) {
-    std::vector<int64_t>& li = chunk_l[static_cast<size_t>(m)];
-    std::vector<int64_t>& ri = chunk_r[static_cast<size_t>(m)];
-    li.reserve(static_cast<size_t>(e - b));
-    if (emit_right) ri.reserve(static_cast<size_t>(e - b));
-    for (int64_t l = b; l < e; ++l) {
-      const int64_t gid = probe_gid[static_cast<size_t>(l)];
-      switch (type) {
-        case JoinType::kInner:
-          if (gid >= 0) {
-            for (int64_t r = head[static_cast<size_t>(gid)]; r >= 0;
-                 r = next[static_cast<size_t>(r)]) {
-              li.push_back(l);
-              ri.push_back(r);
-            }
-          }
-          break;
-        case JoinType::kLeftOuter:
-          if (gid >= 0) {
-            for (int64_t r = head[static_cast<size_t>(gid)]; r >= 0;
-                 r = next[static_cast<size_t>(r)]) {
-              li.push_back(l);
-              ri.push_back(r);
-            }
-          } else {
-            li.push_back(l);
-            ri.push_back(-1);  // null-padded below
-          }
-          break;
-        case JoinType::kLeftSemi:
-          if (gid >= 0) li.push_back(l);
-          break;
-        case JoinType::kLeftAnti:
-          if (gid < 0) li.push_back(l);
-          break;
-      }
-    }
-  });
   std::vector<int64_t> left_idx;
   std::vector<int64_t> right_idx;
-  if (num_chunks == 1) {
-    left_idx = std::move(chunk_l[0]);
-    right_idx = std::move(chunk_r[0]);
-  } else {
-    int64_t total = 0;
-    for (const auto& c : chunk_l) total += static_cast<int64_t>(c.size());
-    left_idx.reserve(static_cast<size_t>(total));
-    if (emit_right) right_idx.reserve(static_cast<size_t>(total));
-    for (size_t m = 0; m < num_chunks; ++m) {
-      left_idx.insert(left_idx.end(), chunk_l[m].begin(), chunk_l[m].end());
-      if (emit_right) {
-        right_idx.insert(right_idx.end(), chunk_r[m].begin(),
-                         chunk_r[m].end());
-      }
+  left_idx.reserve(static_cast<size_t>(emit_rows));
+  if (emit_right) right_idx.reserve(static_cast<size_t>(emit_rows));
+  for (int64_t l = 0; l < emit_rows; ++l) {
+    const int64_t gid = probe_gid[static_cast<size_t>(l)];
+    switch (type) {
+      case JoinType::kInner:
+        if (gid >= 0) {
+          for (int64_t r = head[static_cast<size_t>(gid)]; r >= 0;
+               r = next[static_cast<size_t>(r)]) {
+            left_idx.push_back(l);
+            right_idx.push_back(r);
+          }
+        }
+        break;
+      case JoinType::kLeftOuter:
+        if (gid >= 0) {
+          for (int64_t r = head[static_cast<size_t>(gid)]; r >= 0;
+               r = next[static_cast<size_t>(r)]) {
+            left_idx.push_back(l);
+            right_idx.push_back(r);
+          }
+        } else {
+          left_idx.push_back(l);
+          right_idx.push_back(-1);  // null-padded below
+        }
+        break;
+      case JoinType::kLeftSemi:
+        if (gid >= 0) left_idx.push_back(l);
+        break;
+      case JoinType::kLeftAnti:
+        if (gid < 0) left_idx.push_back(l);
+        break;
     }
-    scratch_bytes += total * (emit_right ? 16 : 8);  // the transient chunks
   }
   if (ctx.report_scratch_bytes != nullptr) {
     ctx.report_scratch_bytes(scratch_bytes);
@@ -628,32 +549,18 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
 
   if (!emit_right) return left.GatherRows(left_idx);
 
+  // Materialize with one gather per column.
   Table out(defs);
-  // Materialize with one gather per column; columns are independent
-  // destinations, so with intra-operator parallelism on they gather as
-  // concurrent pool tasks.
-  const int total_cols = left.num_columns() + right.num_columns();
-  auto gather_column = [&](int c) {
-    if (c < left.num_columns()) {
-      out.column(c).AppendGather(left.column(c), left_idx);
-      return;
-    }
-    const int rc = c - left.num_columns();
-    Column& dst = out.column(c);
+  for (int c = 0; c < left.num_columns(); ++c) {
+    out.column(c).AppendGather(left.column(c), left_idx);
+  }
+  for (int rc = 0; rc < right.num_columns(); ++rc) {
+    Column& dst = out.column(left.num_columns() + rc);
     if (type == JoinType::kLeftOuter) {
       dst.AppendGatherPadded(right.column(rc), right_idx);
     } else {
       dst.AppendGather(right.column(rc), right_idx);
     }
-  };
-  if (IntraOpParallel(ctx) && total_cols > 1) {
-    TaskGroup group(ctx.pool, "join_materialize");
-    for (int c = 0; c < total_cols; ++c) {
-      group.Submit([&gather_column, c] { gather_column(c); });
-    }
-    group.Wait();
-  } else {
-    for (int c = 0; c < total_cols; ++c) gather_column(c);
   }
   out.FinishBulkAppend();
   return out;
@@ -683,10 +590,9 @@ Table HashAggregate(const Table& input,
   }
 
   // Pass 1: group id per row + first-seen row per group (group output order
-  // is first-seen, as before). Packed keys precompute morsel-parallel; the
-  // group-id assignment itself walks rows in order, which is what pins
-  // first-seen numbering — and therefore output row order — to the serial
-  // result.
+  // is first-seen, as before). Packed keys precompute in one pass; the
+  // group-id assignment walks rows in order, which pins first-seen
+  // numbering — and therefore output row order.
   const OpExecContext& ctx = CurrentOpExecContext();
   int64_t scratch_bytes = 0;
   std::vector<int64_t> gid(static_cast<size_t>(n));
@@ -696,11 +602,9 @@ Table HashAggregate(const Table& input,
     ExecMetrics().key_packed_activations.fetch_add(1,
                                                    std::memory_order_relaxed);
     std::vector<uint64_t> keys(static_cast<size_t>(n));
-    ForEachMorsel(n, ctx, [&](int64_t b, int64_t e, int64_t) {
-      for (int64_t r = b; r < e; ++r) {
-        keys[static_cast<size_t>(r)] = PackRow(plan, r);
-      }
-    });
+    for (int64_t r = 0; r < n; ++r) {
+      keys[static_cast<size_t>(r)] = PackRow(plan, r);
+    }
     scratch_bytes += n * 8;
     int key_bits = 0;
     for (const PackedCol& pc : plan) key_bits += pc.bits;
@@ -756,11 +660,7 @@ Table HashAggregate(const Table& input,
 
   // Pass 2: one typed accumulation loop per aggregate. Each group
   // accumulates in ascending row order — the same order as the previous
-  // row-at-a-time implementation, so float sums are bit-identical. With
-  // intra-operator parallelism the aggregates run as concurrent tasks:
-  // parallelism comes from splitting ACROSS aggregates (each writes only
-  // its own accumulator vectors), never from splitting a float sum across
-  // row ranges, which would reassociate additions and change low bits.
+  // row-at-a-time implementation, so float sums are bit-identical.
   const size_t na = aggregates.size();
   std::vector<std::vector<double>> sums(na), mins(na), maxs(na);
   std::vector<std::vector<int64_t>> counts(na);
@@ -810,15 +710,7 @@ Table HashAggregate(const Table& input,
   if (ctx.report_scratch_bytes != nullptr) {
     ctx.report_scratch_bytes(scratch_bytes);
   }
-  if (IntraOpParallel(ctx) && na > 1) {
-    TaskGroup group(ctx.pool, "aggregate");
-    for (size_t a = 0; a < na; ++a) {
-      group.Submit([&run_aggregate, a] { run_aggregate(a); });
-    }
-    group.Wait();
-  } else {
-    for (size_t a = 0; a < na; ++a) run_aggregate(a);
-  }
+  for (size_t a = 0; a < na; ++a) run_aggregate(a);
 
   // Output schema: group columns (original defs) then aggregates.
   std::vector<ColumnDef> defs;
@@ -965,72 +857,56 @@ std::vector<Table> PartitionByHash(const Table& input,
   // string columns), so the hash values — and therefore shuffle placement
   // and downstream row order — are bit-identical. Iterating rows innermost
   // turns the per-row column chase into sequential typed scans that
-  // auto-vectorize; morsels split the row ranges (disjoint hash writes).
-  const OpExecContext& ctx = CurrentOpExecContext();
+  // auto-vectorize.
   const int64_t n = input.num_rows();
   std::vector<size_t> hash(static_cast<size_t>(n), 0xcbf29ce484222325ULL);
-  ForEachMorsel(n, ctx, [&](int64_t b, int64_t e, int64_t) {
-    const auto mix = [](size_t& h, size_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    for (const Column* col : num_cols) {
-      if (col->type() == DataType::kInt64) {
-        const std::vector<int64_t>& xs = col->ints();
-        for (int64_t r = b; r < e; ++r) {
-          mix(hash[static_cast<size_t>(r)],
-              std::hash<int64_t>{}(xs[static_cast<size_t>(r)]));
-        }
-      } else {
-        const std::vector<double>& xs = col->doubles();
-        for (int64_t r = b; r < e; ++r) {
-          mix(hash[static_cast<size_t>(r)],
-              std::hash<int64_t>{}(DoubleKeyBits(xs[static_cast<size_t>(r)])));
-        }
+  const auto mix = [](size_t& h, size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  for (const Column* col : num_cols) {
+    if (col->type() == DataType::kInt64) {
+      const std::vector<int64_t>& xs = col->ints();
+      for (int64_t r = 0; r < n; ++r) {
+        mix(hash[static_cast<size_t>(r)],
+            std::hash<int64_t>{}(xs[static_cast<size_t>(r)]));
+      }
+    } else {
+      const std::vector<double>& xs = col->doubles();
+      for (int64_t r = 0; r < n; ++r) {
+        mix(hash[static_cast<size_t>(r)],
+            std::hash<int64_t>{}(DoubleKeyBits(xs[static_cast<size_t>(r)])));
       }
     }
-    for (const StrCol& sc : str_cols) {
-      if (!sc.code_hash.empty()) {
-        const std::vector<int32_t>& codes = sc.col->codes();
-        for (int64_t r = b; r < e; ++r) {
-          mix(hash[static_cast<size_t>(r)],
-              sc.code_hash[static_cast<size_t>(codes[static_cast<size_t>(r)])]);
-        }
-      } else {
-        const std::vector<std::string>& xs = sc.col->strings();
-        for (int64_t r = b; r < e; ++r) {
-          mix(hash[static_cast<size_t>(r)],
-              std::hash<std::string>{}(xs[static_cast<size_t>(r)]));
-        }
+  }
+  for (const StrCol& sc : str_cols) {
+    if (!sc.code_hash.empty()) {
+      const std::vector<int32_t>& codes = sc.col->codes();
+      for (int64_t r = 0; r < n; ++r) {
+        mix(hash[static_cast<size_t>(r)],
+            sc.code_hash[static_cast<size_t>(codes[static_cast<size_t>(r)])]);
+      }
+    } else {
+      const std::vector<std::string>& xs = sc.col->strings();
+      for (int64_t r = 0; r < n; ++r) {
+        mix(hash[static_cast<size_t>(r)],
+            std::hash<std::string>{}(xs[static_cast<size_t>(r)]));
       }
     }
-  });
+  }
   for (int64_t r = 0; r < n; ++r) {
     part_rows[hash[static_cast<size_t>(r)] %
               static_cast<size_t>(num_partitions)]
         .push_back(r);
   }
+  const OpExecContext& ctx = CurrentOpExecContext();
   if (ctx.report_scratch_bytes != nullptr) {
     ctx.report_scratch_bytes(n * 8);
   }
 
-  // Partition gathers write independent tables; with intra-operator
-  // parallelism on they run as concurrent pool tasks, landing in per-index
-  // slots.
   std::vector<Table> parts(static_cast<size_t>(num_partitions));
-  if (IntraOpParallel(ctx) && num_partitions > 1) {
-    TaskGroup group(ctx.pool, "partition_gather");
-    for (int64_t p = 0; p < num_partitions; ++p) {
-      group.Submit([&input, &parts, &part_rows, p] {
-        parts[static_cast<size_t>(p)] =
-            input.GatherRows(part_rows[static_cast<size_t>(p)]);
-      });
-    }
-    group.Wait();
-  } else {
-    for (int64_t p = 0; p < num_partitions; ++p) {
-      parts[static_cast<size_t>(p)] =
-          input.GatherRows(part_rows[static_cast<size_t>(p)]);
-    }
+  for (int64_t p = 0; p < num_partitions; ++p) {
+    parts[static_cast<size_t>(p)] =
+        input.GatherRows(part_rows[static_cast<size_t>(p)]);
   }
   return parts;
 }

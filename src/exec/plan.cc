@@ -89,8 +89,7 @@ namespace {
 /// fully-consumed stage's partitions are freed immediately.
 class PlanRun {
  public:
-  PlanRun(const StagePlan& plan, const ExecutorOptions& options,
-          PlanRunStats* stats)
+  PlanRun(const StagePlan& plan, PlanRunStats* stats)
       : plan_(plan),
         stats_(stats),
         outputs_(plan.stages.size()),
@@ -113,7 +112,6 @@ class PlanRun {
         stats_->stages[i].num_tasks = stage.num_tasks;
       }
     }
-    op_context_.morsel_rows = options.morsel_rows;
     op_context_.report_scratch_bytes = [this](int64_t bytes) {
       ReportScratch(bytes);
     };
@@ -121,7 +119,6 @@ class PlanRun {
 
   /// Runs every stage; `pool` null runs each phase inline in index order.
   Table Run(ThreadPool* pool) {
-    op_context_.pool = pool;
     for (size_t i = 0; i < plan_.stages.size(); ++i) {
       const PlanStage& stage = plan_.stages[i];
       const std::string context = plan_.name + "/" + stage.label;
@@ -238,7 +235,7 @@ class PlanRun {
   }
 
   /// Folds one operator's transient scratch high-water (packed keys, hash
-  /// tables, emit buffers) into the peak residency figure. Concurrent
+  /// tables) into the peak residency figure. Concurrent
   /// operators each raise the peak against the same resident base, which
   /// understates overlap but never hides an operator's footprint entirely.
   void ReportScratch(int64_t bytes) {
@@ -313,7 +310,7 @@ class PlanRun {
   std::vector<StageOutput> outputs_;
   std::vector<StageState> stages_;
   /// Installed thread-locally around every task body (ScopedOpExecContext)
-  /// so operators see the executor's intra-operator knobs.
+  /// so operators can report their scratch bytes.
   OpExecContext op_context_;
   /// Residency accounting is the one piece of PlanRun state concurrent
   /// tasks mutate outside per-index slots (operators report scratch from
@@ -334,7 +331,7 @@ Table PlanExecutor::Execute(const StagePlan& plan, PlanRunStats* stats) {
   const bool pooled =
       options_.num_threads > 1 &&
       !(plan.stages.size() == 1 && plan.stages[0].num_tasks == 1);
-  PlanRun run(plan, options_, stats);
+  PlanRun run(plan, stats);
   Table result = run.Run(pooled ? EnsurePool() : nullptr);
   ++plans_run_;
   stages_run_ += static_cast<int64_t>(plan.stages.size());

@@ -78,14 +78,9 @@ struct PlanRunStats {
 /// \brief Execution knobs for PlanExecutor.
 struct ExecutorOptions {
   /// Total executor threads. 1 = serial in index order. With N >= 2 the
-  /// executor keeps a persistent work-stealing pool of N-1 workers and the
-  /// calling thread helps while waiting, so N threads execute tasks.
+  /// executor keeps a persistent pool of N-1 workers and the calling thread
+  /// helps while waiting, so N threads execute tasks.
   int num_threads = 1;
-  /// Intra-operator parallelism: rows per morsel for HashJoin/HashAggregate
-  /// build, probe, and emit loops (chunks scheduled as pool tasks inside one
-  /// stage task; partial states merge in morsel-index order, so results stay
-  /// bit-identical at any thread count). 0 (default) keeps single loops.
-  int64_t morsel_rows = 0;
 };
 
 /// \brief Executes a StagePlan, measuring each task's wall time and each
@@ -94,7 +89,7 @@ struct ExecutorOptions {
 /// Stages run one at a time in plan order. Each stage has three phases —
 /// its tasks, the per-task hash partitioning, and the per-partition
 /// concatenation — and each phase's slots run as tasks on a persistent
-/// work-stealing ThreadPool, waited for before the next phase starts. With
+/// ThreadPool, waited for before the next phase starts. With
 /// `num_threads` == 1 (default) the same phase bodies run inline in index
 /// order. Results are bit-identical at every thread count: task outputs land
 /// in per-index slots and every merge (partition collection, concatenation)
@@ -118,7 +113,7 @@ class PlanExecutor {
   int num_threads() const { return options_.num_threads; }
   const ExecutorOptions& options() const { return options_; }
 
-  /// Exports pool counters (tasks run, steals, queue depth, busy time) and
+  /// Exports pool counters (tasks run, queue depth, busy time) and
   /// executor totals under `prefix`, conventionally "exec.pool".
   void ExportMetrics(MetricsRegistry* metrics,
                      const std::string& prefix) const;

@@ -96,7 +96,7 @@ std::vector<QueryProfile> ProfileQueryOn(int query_id, const Catalog& catalog,
 
 std::vector<QueryProfile> ProfileAllQueries(const Catalog& catalog,
                                             const ProfilerOptions& options) {
-  // One executor for the whole sweep: the work-stealing pool spins up once
+  // One executor for the whole sweep: the thread pool spins up once
   // and every plan's stages reuse the same workers.
   PlanExecutor executor(options.exec_threads);
   std::vector<QueryProfile> all;

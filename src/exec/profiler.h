@@ -23,7 +23,7 @@ struct ProfilerOptions {
   /// Executor threads for the measurement runs. 1 (the default) keeps
   /// per-task durations free of same-host contention, which is what the
   /// checked-in profile library is derived with; larger values run the 25
-  /// plans on the shared work-stealing pool (faster wall clock, e.g. for
+  /// plans on the executor's thread pool (faster wall clock, e.g. for
   /// interactive re-profiling).
   int exec_threads = 1;
   /// When set, pool/executor counters are exported here under "exec.pool"

@@ -498,6 +498,7 @@ std::string WriteTableFile(const Table& table,
                            const StorageWriteOptions& options) {
   CACKLE_CHECK_GT(table.num_columns(), 0);
   CACKLE_CHECK_GT(options.rows_per_stripe, 0);
+  CACKLE_CHECK_LE(options.rows_per_stripe, kMaxRowsPerStripe);
   std::string out;
   PutU32(&out, kMagic);
   PutU32(&out, kVersion);
@@ -571,6 +572,13 @@ Status ReadHeader(ByteReader* reader, FileHeader* header) {
   header->rows_per_stripe = static_cast<int64_t>(reader->GetU64());
   header->num_stripes = reader->GetU32();
   if (!reader->ok()) return Status::InvalidArgument("truncated header");
+  if (header->num_rows < 0) {
+    return Status::InvalidArgument("implausible row count");
+  }
+  if (header->rows_per_stripe <= 0 ||
+      header->rows_per_stripe > kMaxRowsPerStripe) {
+    return Status::InvalidArgument("rows_per_stripe out of range");
+  }
   return Status::OK();
 }
 
@@ -624,9 +632,17 @@ StatusOr<ScanFileResult> ScanTableFile(const std::string& bytes,
   }
   std::vector<Table> stripe_tables;
 
+  int64_t rows_seen = 0;
   for (int64_t s = 0; s < header.num_stripes; ++s) {
     const int64_t stripe_rows = reader.GetU32();
     if (!reader.ok()) return Status::InvalidArgument("truncated stripe");
+    // Bound the stripe before decoding: a few bytes of run-length data
+    // could otherwise expand to 2^32 values.
+    if (stripe_rows > header.rows_per_stripe ||
+        stripe_rows > header.num_rows - rows_seen) {
+      return Status::InvalidArgument("stripe row count exceeds the header");
+    }
+    rows_seen += stripe_rows;
     // First pass over the stripe: headers + skip decision.
     Table stripe(decoded_schema);
     bool skip = false;
@@ -677,6 +693,9 @@ StatusOr<ScanFileResult> ScanTableFile(const std::string& bytes,
     stripe_tables.push_back(std::move(decoded));
   }
 
+  if (rows_seen != header.num_rows) {
+    return Status::InvalidArgument("stripes do not add up to the row count");
+  }
   if (stripe_tables.empty()) {
     result.table = Table(decoded_schema);
   } else {

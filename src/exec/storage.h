@@ -33,12 +33,18 @@ namespace cackle::exec {
 /// reproduces the *behaviour* the paper depends on: chunked columnar scans
 /// from cloud storage with statistics-based skipping.
 
+/// Largest `rows_per_stripe` the format allows. Readers reject a header
+/// above it and any stripe longer than the header's `rows_per_stripe`, which
+/// bounds the rows one stripe of a hostile file can decode.
+inline constexpr int64_t kMaxRowsPerStripe = int64_t{1} << 20;
+
 /// Options for writing.
 struct StorageWriteOptions {
-  int64_t rows_per_stripe = 4096;
+  int64_t rows_per_stripe = 4096;  // in (0, kMaxRowsPerStripe]
 };
 
-/// Serializes a table. Aborts on unwritable input (no columns).
+/// Serializes a table. Aborts on unwritable input (no columns, or
+/// `rows_per_stripe` outside (0, kMaxRowsPerStripe]).
 std::string WriteTableFile(const Table& table,
                            const StorageWriteOptions& options = {});
 

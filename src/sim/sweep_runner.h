@@ -15,7 +15,7 @@ namespace cackle {
 /// A parameter sweep (chaos matrix, arrival-period scan, stability grid) is
 /// embarrassingly parallel: every cell builds its own engine on its own
 /// Simulation and never touches another cell's state. SweepRunner fans the
-/// cells out on the work-stealing ThreadPool and returns results **in cell
+/// cells out on a ThreadPool and returns results **in cell
 /// index order**, so the merged output is byte-identical no matter how many
 /// threads ran it or in what order cells finished.
 ///

@@ -334,27 +334,6 @@ TEST(TpchGoldenResultsTest, PooledExecutionIsBitIdenticalToSerial) {
   }
 }
 
-// Morsel splitting makes the same promise: it changes only how work is
-// split across pool tasks, never the produced rows, their order, or float
-// summation order. All 25 queries must be BIT-identical to serial at every
-// thread count with morsels on.
-TEST(TpchGoldenResultsTest, MorselExecutionIsBitIdenticalToSerial) {
-  PlanExecutor serial;  // 1 thread, no morsels
-  for (const int threads : {1, 4, 8}) {
-    SCOPED_TRACE(testing::Message() << "threads " << threads);
-    ExecutorOptions opts;
-    opts.num_threads = threads;
-    opts.morsel_rows = 1024;  // small enough to split SF 0.01 inputs
-    PlanExecutor morsel(opts);
-    for (const int id : AllTpchQueryIds()) {
-      SCOPED_TRACE(testing::Message() << "query " << id);
-      const StagePlan plan = BuildTpchPlan(id, TestCatalog(), PlanConfig{3});
-      const QueryChecksum want = Checksum(id, serial.Execute(plan));
-      ExpectChecksumsBitIdentical(want, Checksum(id, morsel.Execute(plan)));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Differential: thread-pool execution must be equivalent to serial for every
 // query. Rows are compared as sorted multisets so the check pins content,

@@ -104,6 +104,15 @@ size_t FirstStripeOffset(const Table& t) {
   return offset + 8 + 8 + 4;
 }
 
+/// Overwrites `width` bytes at `offset` with `v`, little-endian.
+void PutLittleEndian(std::string* bytes, size_t offset, uint64_t v,
+                     int width) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[offset + static_cast<size_t>(i)] =
+        static_cast<char>(v >> (8 * i));
+  }
+}
+
 TEST(StorageTest, RejectsGarbage) {
   EXPECT_FALSE(ReadTableFile("not a table file").ok());
   EXPECT_FALSE(ReadTableFile("").ok());
@@ -138,6 +147,56 @@ TEST(StorageTest, RejectsGarbage) {
   for (size_t i = 0; i < 4; ++i) bytes[stripe + i] = '\xff';
   bytes.resize(stripe + 40);
   EXPECT_FALSE(ReadTableFile(bytes).ok());
+
+  // Stripe row counts must fit the header: a stripe is at most
+  // rows_per_stripe rows and at most the rows still left, the stripes add up
+  // to num_rows, and rows_per_stripe itself is at most kMaxRowsPerStripe.
+  // The file is one run-length int64 column of 50 sevens in one stripe:
+  // header fields num_rows at 15, rows_per_stripe at 23, stripe rows at 35,
+  // the chunk's run-length payload (varint run, zigzag value) at 64.
+  Table rle({{"c", DataType::kInt64}});
+  for (int i = 0; i < 50; ++i) rle.column(0).AppendInt(7);
+  rle.FinishBulkAppend();
+  const std::string rle_good = WriteTableFile(rle);
+  ASSERT_TRUE(ReadTableFile(rle_good).ok());
+  const size_t rle_stripe = FirstStripeOffset(rle);
+  ASSERT_EQ(rle_stripe, 35u);
+  ASSERT_EQ(rle_good.size(), rle_stripe + 29 + 2);
+  ASSERT_EQ(rle_good[rle_stripe + 4], '\x01');  // kInt64Rle
+  ASSERT_EQ(rle_good.substr(rle_stripe + 29), std::string("\x32\x0e", 2));
+
+  // Six bytes of run-length data claiming 2^32 - 1 rows in a stripe that
+  // says the same: must be refused before anything is decoded.
+  bytes = rle_good.substr(0, rle_stripe + 29);
+  PutLittleEndian(&bytes, rle_stripe, 0xffffffffULL, 4);
+  bytes += std::string("\xff\xff\xff\xff\x0f\x0e", 6);
+  EXPECT_FALSE(ReadTableFile(bytes).ok());
+
+  // 60 rows in the stripe (and in its run) of a 50-row file: within
+  // rows_per_stripe, but past the rows left.
+  bytes = rle_good;
+  PutLittleEndian(&bytes, rle_stripe, 60, 4);
+  bytes[rle_stripe + 29] = '\x3c';
+  EXPECT_FALSE(ReadTableFile(bytes).ok());
+
+  // The header claims 60 rows, the one stripe holds 50.
+  bytes = rle_good;
+  PutLittleEndian(&bytes, 15, 60, 8);
+  EXPECT_FALSE(ReadTableFile(bytes).ok());
+  EXPECT_FALSE(ScanTableFile(bytes, {"c"}, {}).ok());
+
+  // rows_per_stripe above the format's limit, and zero.
+  for (const uint64_t rows_per_stripe :
+       {static_cast<uint64_t>(kMaxRowsPerStripe) + 1, uint64_t{0}}) {
+    bytes = rle_good;
+    PutLittleEndian(&bytes, 23, rows_per_stripe, 8);
+    EXPECT_FALSE(ReadTableFile(bytes).ok()) << rows_per_stripe;
+    EXPECT_FALSE(InspectTableFile(bytes).ok()) << rows_per_stripe;
+  }
+  // At the limit the file still reads.
+  bytes = rle_good;
+  PutLittleEndian(&bytes, 23, static_cast<uint64_t>(kMaxRowsPerStripe), 8);
+  EXPECT_TRUE(ReadTableFile(bytes).ok());
 }
 
 TEST(StorageTest, ProjectionPushdownDecodesOnlyRequested) {

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,11 +69,11 @@ TEST(ThreadPoolTest, TasksSubmittedFromTasksComplete) {
   EXPECT_EQ(group.outstanding(), 0);
 }
 
-TEST(ThreadPoolTest, WorkIsStolenFromBusySpawner) {
-  // A pool task parks a burst of subtasks on its own deque and then blocks;
-  // the second worker and the waiting caller must steal to make progress.
+TEST(ThreadPoolTest, SubtasksOfABlockedTaskAllRun) {
+  // A pool task queues a burst of subtasks and then blocks; the second
+  // worker and the waiting caller must run them all.
   ThreadPool pool(2);
-  TaskGroup group(&pool, "steal");
+  TaskGroup group(&pool, "burst");
   std::atomic<int> ran{0};
   group.Submit([&] {
     for (int i = 0; i < 32; ++i) {
@@ -80,15 +82,59 @@ TEST(ThreadPoolTest, WorkIsStolenFromBusySpawner) {
         ran.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    // Keep the spawning worker occupied so its deque must be raided.
+    // Keep the spawning worker occupied while the others drain the queue.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
   group.Wait();
   EXPECT_EQ(ran.load(), 32);
-  const ThreadPool::Stats stats = pool.stats();
-  EXPECT_GT(stats.steals, 0);
-  EXPECT_GT(stats.tasks_stolen, 0);
-  EXPECT_GE(stats.max_queue_depth, 1);
+  EXPECT_GE(pool.stats().max_queue_depth, 1);
+}
+
+TEST(ThreadPoolTest, FlatWaveRunsOnEveryWorkerPlusTheWaitingCaller) {
+  // Three workers plus the caller helping from Wait() are four executors:
+  // four tasks that each block until all four have started can only meet
+  // if all of them run at once.
+  ThreadPool pool(3);
+  TaskGroup group(&pool, "wave");
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  for (int i = 0; i < 4; ++i) {
+    group.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return arrived == 4; })) {
+        met.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  group.Wait();
+  EXPECT_EQ(met.load(), 4);
+  EXPECT_EQ(pool.stats().tasks_run, 4);
+}
+
+TEST(ThreadPoolTest, NestedWaitFromPoolTasksCompletes) {
+  // Every executor (one worker, the caller) can be inside an outer task
+  // waiting on its own inner group; the waits must run the inner tasks
+  // themselves rather than block on a worker that is never free.
+  ThreadPool pool(1);
+  TaskGroup outer(&pool, "outer");
+  std::atomic<int> inner_ran{0};
+  for (int i = 0; i < 4; ++i) {
+    outer.Submit([&pool, &inner_ran] {
+      TaskGroup inner(&pool, "inner");
+      for (int j = 0; j < 8; ++j) {
+        inner.Submit(
+            [&inner_ran] { inner_ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+      inner.Wait();
+    });
+  }
+  outer.Wait();
+  EXPECT_EQ(inner_ran.load(), 32);
 }
 
 TEST(ThreadPoolTest, GroupIsReusableAcrossWaves) {
@@ -176,7 +222,6 @@ TEST(ThreadPoolTest, ExportMetricsPublishesLifetimeTotals) {
   EXPECT_EQ(metrics.CounterValue("exec.pool.tasks_submitted"), 30);
   EXPECT_EQ(metrics.CounterValue("exec.pool.tasks_run"), 30);
   EXPECT_GE(metrics.CounterValue("exec.pool.busy_micros"), 0);
-  EXPECT_NE(metrics.FindCounter("exec.pool.steals"), nullptr);
   EXPECT_NE(metrics.FindCounter("exec.pool.helper_runs"), nullptr);
   EXPECT_NE(metrics.FindCounter("exec.pool.max_queue_depth"), nullptr);
 }
