@@ -3,7 +3,7 @@
 //
 // Emits google-benchmark-compatible JSON (benchmarks carry
 // events_per_second / items_per_second) so scripts/bench_compare.py can
-// diff runs, plus a summary block with the Calendar-vs-Heap speedups, the
+// diff runs, plus a summary block with the Radix-vs-Heap speedups, the
 // sweep scaling curve, and a cross-scheduler checksum-identity bit. The
 // committed artifact lives at bench/results/BENCH_sim_core.json.
 //
@@ -16,6 +16,12 @@
 //    timestamps), then drain. Insert-then-pop phases, like engine start-up.
 //  - CancelChurn: schedule, cancel half by handle, drain the rest. The
 //    tombstone/compaction path.
+//  - EngineShape: the event population of an engine run on the paper
+//    workload. 16384 arrivals spread over 12 h are all scheduled at t=0,
+//    beside ~2000 near-term task events that keep re-scheduling themselves
+//    a few milliseconds ahead; then drain. A uniform hold population
+//    misses this shape: a calendar queue sized from the arrivals' span puts
+//    every near-term event in one bucket.
 //
 // Usage: sim_core [--fast]. CACKLE_BENCH_OUT_DIR picks the artifact dir;
 // CACKLE_SWEEP_THREADS is intentionally ignored here — the sweep section
@@ -56,7 +62,7 @@ SimOptions MakeOptions(SimScheduler scheduler) {
 }
 
 struct Measurement {
-  std::string name;       // e.g. "SimCore/Hold/Calendar"
+  std::string name;       // e.g. "SimCore/Hold/Radix"
   double seconds = 0.0;
   double events_per_second = 0.0;  // 0 = report items_per_second instead
   double items_per_second = 0.0;
@@ -157,6 +163,50 @@ Measurement RunCancelChurn(SimScheduler scheduler, const char* label,
   return m;
 }
 
+/// Near-term task event of RunEngineShape: re-schedules itself 1..64 ms
+/// ahead until the shared budget of executions is spent.
+struct NearTermEvent {
+  Simulation* sim;
+  Rng* rng;
+  int64_t* remaining;
+  void operator()() const {
+    if (--*remaining <= 0) return;
+    sim->ScheduleAfter(static_cast<SimTimeMs>(1 + rng->NextBounded(64)),
+                       *this);
+  }
+};
+
+Measurement RunEngineShape(SimScheduler scheduler, const char* label,
+                           int64_t near_term_events) {
+  constexpr int64_t kArrivals = 16384;
+  constexpr int64_t kNearTermPopulation = 2000;
+  Simulation sim(MakeOptions(scheduler));
+  Rng rng(0x5EEDFACEULL);
+  int64_t fired = 0;
+  int64_t remaining = near_term_events;
+  const double start = NowSeconds();
+  for (int64_t i = 0; i < kArrivals; ++i) {
+    sim.ScheduleAt(static_cast<SimTimeMs>(rng.NextBounded(
+                       static_cast<uint64_t>(12 * kMillisPerHour))),
+                   [&fired] { ++fired; });
+  }
+  for (int64_t i = 0; i < kNearTermPopulation; ++i) {
+    sim.ScheduleAt(static_cast<SimTimeMs>(1 + rng.NextBounded(64)),
+                   NearTermEvent{&sim, &rng, &remaining});
+  }
+  sim.RunToCompletion();
+  const double elapsed = NowSeconds() - start;
+  Measurement m;
+  m.name = std::string("SimCore/EngineShape/") + label;
+  m.seconds = elapsed;
+  m.iterations = sim.executed_events();
+  // One schedule + one execute per event.
+  m.events_per_second =
+      elapsed > 0 ? 2.0 * static_cast<double>(sim.executed_events()) / elapsed
+                  : 0.0;
+  return m;
+}
+
 /// End-to-end: a small engine run; throughput in queries/s.
 Measurement RunEndToEnd(SimScheduler scheduler, const char* label,
                         int64_t queries) {
@@ -225,13 +275,14 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Simulation-kernel microbench",
-              "Event throughput (hold / burst-drain / cancel-churn), "
-              "engine queries/s, parallel sweep scaling.");
+              "Event throughput (hold / burst-drain / cancel-churn / "
+              "engine-shape), engine queries/s, parallel sweep scaling.");
 
   const int64_t population = fast ? 20'000 : 1'000'000;
   const int64_t holds = fast ? 200'000 : 2'000'000;
   const int64_t burst = fast ? 200'000 : 2'000'000;
   const int64_t churn = fast ? 200'000 : 2'000'000;
+  const int64_t near_term = fast ? 200'000 : 2'000'000;
   const int64_t e2e_queries = fast ? 40 : 150;
 
   std::vector<Measurement> ms;
@@ -239,7 +290,7 @@ int main(int argc, char** argv) {
     SimScheduler scheduler;
     const char* label;
   } schedulers[] = {{SimScheduler::kBinaryHeap, "Heap"},
-                    {SimScheduler::kCalendarQueue, "Calendar"}};
+                    {SimScheduler::kRadixHeap, "Radix"}};
   // Scheduler mixes run best-of-N: one repetition is at the mercy of OS
   // jitter; the max throughput over a few repetitions is the stable
   // estimate of what the code can do.
@@ -259,6 +310,8 @@ int main(int argc, char** argv) {
         best([&] { return RunBurstDrain(s.scheduler, s.label, burst); }));
     ms.push_back(
         best([&] { return RunCancelChurn(s.scheduler, s.label, churn); }));
+    ms.push_back(best(
+        [&] { return RunEngineShape(s.scheduler, s.label, near_term); }));
     ms.push_back(RunEndToEnd(s.scheduler, s.label, e2e_queries));
   }
 
@@ -288,7 +341,8 @@ int main(int argc, char** argv) {
   }
 
   // Console report.
-  double hold_speedup = 0.0, burst_speedup = 0.0, churn_speedup = 0.0;
+  double hold_speedup = 0.0, burst_speedup = 0.0, churn_speedup = 0.0,
+         shape_speedup = 0.0;
   const auto find = [&ms](const std::string& name) -> const Measurement& {
     for (const Measurement& m : ms) {
       if (m.name == name) return m;
@@ -299,13 +353,14 @@ int main(int argc, char** argv) {
   const auto ratio = [&find](const char* mix) {
     const double heap =
         find(std::string("SimCore/") + mix + "/Heap").events_per_second;
-    const double cal =
-        find(std::string("SimCore/") + mix + "/Calendar").events_per_second;
-    return heap > 0 ? cal / heap : 0.0;
+    const double radix =
+        find(std::string("SimCore/") + mix + "/Radix").events_per_second;
+    return heap > 0 ? radix / heap : 0.0;
   };
   hold_speedup = ratio("Hold");
   burst_speedup = ratio("BurstDrain");
   churn_speedup = ratio("CancelChurn");
+  shape_speedup = ratio("EngineShape");
   for (const Measurement& m : ms) {
     const double v =
         m.events_per_second > 0 ? m.events_per_second : m.items_per_second;
@@ -315,8 +370,9 @@ int main(int argc, char** argv) {
                                                  : " queries/s")
               << "\n";
   }
-  std::cout << "calendar vs heap: hold " << hold_speedup << "x, burst "
-            << burst_speedup << "x, cancel-churn " << churn_speedup << "x\n";
+  std::cout << "radix vs heap: hold " << hold_speedup << "x, burst "
+            << burst_speedup << "x, cancel-churn " << churn_speedup
+            << "x, engine-shape " << shape_speedup << "x\n";
   bool checksums_identical = true;
   for (const SweepPoint& p : sweep) {
     checksums_identical &= p.checksum == sweep.front().checksum;
@@ -363,9 +419,10 @@ int main(int argc, char** argv) {
   w.EndArray();
   w.Key("summary");
   w.BeginObject();
-  w.Field("calendar_vs_heap_hold", hold_speedup);
-  w.Field("calendar_vs_heap_burst_drain", burst_speedup);
-  w.Field("calendar_vs_heap_cancel_churn", churn_speedup);
+  w.Field("radix_vs_heap_hold", hold_speedup);
+  w.Field("radix_vs_heap_burst_drain", burst_speedup);
+  w.Field("radix_vs_heap_cancel_churn", churn_speedup);
+  w.Field("radix_vs_heap_engine_shape", shape_speedup);
   w.Key("sweep");
   w.BeginArray();
   for (const SweepPoint& p : sweep) {

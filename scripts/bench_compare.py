@@ -2,13 +2,18 @@
 """Compare two google-benchmark JSON outputs and print old-vs-new throughput.
 
 Usage:
-  bench_compare.py BASELINE.json NEW.json [--out COMBINED.json]
+  bench_compare.py BASELINE NEW [--out COMBINED.json]
 
-Both inputs are google-benchmark's JSON format (--benchmark_format=json or
---benchmark_out_format=json), with or without repetitions. When a file
-contains repetition aggregates, the `median` aggregate is used (else the
-`mean`); otherwise the raw per-benchmark entry is. Throughput is
-items_per_second when the benchmark reports it, else bytes_per_second, else
+Each side is a google-benchmark JSON file (--benchmark_format=json or
+--benchmark_out_format=json), with or without repetitions, or a directory
+of such files whose entries are pooled. A directory is how interleaved
+runs are compared: run each binary once per repetition, alternating, and
+write every run to its own file (recipe in EXPERIMENTS.md), so slow
+drift on a shared machine lands on both sides instead of on one block of
+repetitions. When a side contains repetition aggregates, the `median`
+aggregate is used (else the `mean`); otherwise the `iteration` entry with
+the median throughput is. Throughput is events_per_second,
+items_per_second or bytes_per_second when the benchmark reports one, else
 runs/second derived from real_time.
 
 A speedup is only printed when it is resolved: each side has at least
@@ -24,14 +29,16 @@ not enough: on a shared machine they called unchanged code a resolved
 
 With --out, also writes a combined JSON artifact holding the baseline and
 new numbers, the coefficient of variation of each side (the `cv`
-aggregate of real_time, null without repetitions) and the speedup per
-benchmark; benchmarks only one side has are kept as new or removed rows.
+aggregate of real_time, else computed from the `iteration` entries, null
+with fewer than two) and the speedup per benchmark; benchmarks only one side has are kept as new or removed rows.
 The committed bench/results/BENCH_micro_exec.json and
 bench/results/BENCH_strategy.json are produced this way.
 """
 
 import argparse
 import json
+import os
+import statistics
 import sys
 
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -55,12 +62,46 @@ def _throughput(entry):
     return (1e9 / ns if ns else 0.0), "runs/s"
 
 
+def _read_docs(path):
+    """The parsed JSON documents of one side: the file itself, or every
+    *.json file of a directory in name order."""
+    if os.path.isdir(path):
+        names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
+        paths = [os.path.join(path, n) for n in names]
+    else:
+        paths = [path]
+    docs = []
+    for p in paths:
+        with open(p) as f:
+            docs.append(json.load(f))
+    return docs
+
+
+def _median_entry(entries):
+    """The iteration entry of median throughput. With an even count the
+    upper middle entry is returned carrying the mean of the two middle
+    throughputs, so the value is the median of all repetitions."""
+    ranked = sorted(entries, key=lambda e: _throughput(e)[0])
+    mid = ranked[len(ranked) // 2]
+    if len(ranked) % 2:
+        return mid
+    value = statistics.median(_throughput(e)[0] for e in ranked)
+    out = dict(mid)
+    field = next((f for f, _ in _THROUGHPUT_FIELDS if f in mid), None)
+    if field is not None:
+        out[field] = value
+    else:
+        out["real_time"] = (1e9 / value /
+                            _TIME_UNIT_NS.get(mid.get("time_unit", "ns")))
+    return out
+
+
 def load(path):
     """{benchmark-name: (entry, repetition throughputs)}.
 
     The entry is the `median` aggregate when present, else the `mean`, else
-    the raw run; the list holds the throughput of every `iteration` entry
-    (one per repetition).
+    the median `iteration` entry; the list holds the throughput of every
+    `iteration` entry (one per repetition).
     """
     return {name: (entry, reps)
             for name, (entry, reps, _) in load_with_cv(path).items()}
@@ -69,21 +110,26 @@ def load(path):
 def load_with_cv(path):
     """{benchmark-name: (entry, repetition throughputs, cv or None)}: load()
     plus the coefficient of variation of real_time across repetitions (the
-    `cv` aggregate), or None without repetitions."""
-    with open(path) as f:
-        doc = json.load(f)
-    raw, reps = {}, {}
+    `cv` aggregate, else the sample CV of the `iteration` entries), or None
+    with fewer than two repetitions."""
+    raw = {}
     by_aggregate = {"median": {}, "mean": {}, "cv": {}}
-    for entry in doc.get("benchmarks", []):
-        name = entry.get("run_name", entry.get("name", ""))
-        if entry.get("run_type") == "aggregate":
-            by_aggregate.get(entry.get("aggregate_name"), {})[name] = entry
-        else:
-            raw.setdefault(name, entry)
-            reps.setdefault(name, []).append(_throughput(entry)[0])
-    picked = {**raw, **by_aggregate["mean"], **by_aggregate["median"]}
+    for doc in _read_docs(path):
+        for entry in doc.get("benchmarks", []):
+            name = entry.get("run_name", entry.get("name", ""))
+            if entry.get("run_type") == "aggregate":
+                by_aggregate.get(entry.get("aggregate_name"), {})[name] = entry
+            else:
+                raw.setdefault(name, []).append(entry)
+    picked = {name: _median_entry(entries) for name, entries in raw.items()}
+    picked.update({**by_aggregate["mean"], **by_aggregate["median"]})
     cv = {name: e.get("real_time") for name, e in by_aggregate["cv"].items()}
-    return {name: (entry, reps.get(name, []), cv.get(name))
+    for name, entries in raw.items():
+        times = [e["real_time"] for e in entries if "real_time" in e]
+        if name not in cv and len(times) >= 2 and statistics.mean(times):
+            cv[name] = statistics.stdev(times) / statistics.mean(times)
+    return {name: (entry, [_throughput(e)[0] for e in raw.get(name, [])],
+                   cv.get(name))
             for name, entry in picked.items()}
 
 
@@ -108,8 +154,7 @@ def environment_header(path):
     committed artifact states on its face how many cores the numbers were
     measured on.
     """
-    with open(path) as f:
-        ctx = json.load(f).get("context", {})
+    ctx = _read_docs(path)[0].get("context", {})
     cores = ctx.get("available_cores") or ctx.get("num_cpus")
     try:
         cores = int(cores)
@@ -128,14 +173,14 @@ def spawn_speedups(run):
     Benchmarks come in variant families measured in the same invocation:
     the multi-stage plan executor against its per-stage thread-spawn
     baseline (MultiStagePlan vs MultiStagePlanSpawn) and the simulation-kernel
-    benchmarks as Heap/Calendar (binary-heap baseline vs calendar-queue
+    benchmarks as Heap/Radix (binary-heap baseline vs radix-heap
     scheduler). For each non-baseline variant
     this reports how much faster it runs than its baseline sibling of the
     same invocation, so the artifact records the comparison even when the
     committed cross-run baseline predates these benchmarks.
     """
     pairs = (("MultiStagePlan/", "MultiStagePlanSpawn/"),
-             ("Calendar", "Heap"))
+             ("Radix", "Heap"))
     out = {}
     for name, entry in run.items():
         for variant, baseline in pairs:

@@ -41,6 +41,12 @@ echo "=== lint selftest (ambient, then forced degraded) ==="
 python3 tools/lint/selftest.py
 CACKLE_LINT_NO_CLANG=1 python3 tools/lint/selftest.py
 
+# bench_compare.py decides which committed speedups count as resolved; its
+# median-of-repetitions and interleaved-run-directory handling are checked
+# on two small fixture files.
+echo "=== bench_compare check ==="
+python3 scripts/bench_compare_test.py
+
 # NOLINT suppression audit: the justified-suppression inventory is a count
 # ratchet against the committed baseline, so suppressions cannot silently
 # accumulate; adding one means consciously regenerating the baseline in the
@@ -173,7 +179,7 @@ echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
 # Simulation-kernel smoke: the scheduler microbench in fast mode, compared
 # against the committed full-scale artifact. The committed numbers come
 # from paper-scale populations, so the fast-mode run is a smoke test (does
-# it run, does it emit well-formed JSON, do the Calendar/Heap pairs still
+# it run, does it emit well-formed JSON, do the Radix/Heap pairs still
 # resolve), not a regression gate.
 echo "=== bench smoke (sim_core, fast) ==="
 CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-release \

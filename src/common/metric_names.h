@@ -67,18 +67,16 @@ inline constexpr char kEngineTenantCapDeferrals[] =
 inline constexpr char kEngineTenantQueuePeak[] = "engine.tenant.queue_peak";
 
 // --------------------------------------------------------------- sim.* names
-// Simulation-kernel counters exported at the end of every engine run. These
-// describe scheduler internals (not workload outcomes), so they may differ
-// between the kBinaryHeap and kCalendarQueue backends even though the
-// workload results are bit-identical.
+// Simulation-kernel counters exported at the end of every engine run. The
+// three event counts are the same under either backend; compactions,
+// tombstones purged and the peak queue size describe scheduler internals
+// (not workload outcomes), so they may differ between kBinaryHeap and
+// kRadixHeap even though the workload results are bit-identical.
 inline constexpr char kSimEventsScheduled[] = "sim.events_scheduled";
 inline constexpr char kSimEventsExecuted[] = "sim.events_executed";
 inline constexpr char kSimEventsCancelled[] = "sim.events_cancelled";
 inline constexpr char kSimCompactions[] = "sim.compactions";
 inline constexpr char kSimTombstonesPurged[] = "sim.tombstones_purged";
-inline constexpr char kSimCalendarResizes[] = "sim.calendar.resizes";
-inline constexpr char kSimOverflowMigrations[] =
-    "sim.calendar.overflow_migrations";
 inline constexpr char kSimPeakQueueEntries[] = "sim.peak_queue_entries";
 
 // ------------------------------------------------------------- chaos.* names

@@ -974,7 +974,7 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   metrics_->SetGauge(mn::kEnginePeakConcurrentTasks,
                      static_cast<double>(result_.peak_concurrent_tasks));
   {
-    // Scheduler internals: implementation-dependent (heap vs calendar), so
+    // Scheduler internals: implementation-dependent (binary vs radix heap), so
     // these are observability only and excluded from golden comparisons.
     const Simulation::Stats& ss = sim_.stats();
     metrics_->SetCounter(mn::kSimEventsScheduled, ss.scheduled);
@@ -982,8 +982,6 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
     metrics_->SetCounter(mn::kSimEventsCancelled, ss.cancelled);
     metrics_->SetCounter(mn::kSimCompactions, ss.compactions);
     metrics_->SetCounter(mn::kSimTombstonesPurged, ss.tombstones_purged);
-    metrics_->SetCounter(mn::kSimCalendarResizes, ss.calendar_resizes);
-    metrics_->SetCounter(mn::kSimOverflowMigrations, ss.overflow_migrations);
     metrics_->SetGauge(mn::kSimPeakQueueEntries,
                        static_cast<double>(ss.peak_queue_entries));
   }

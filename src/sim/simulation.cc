@@ -1,6 +1,8 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -12,14 +14,6 @@ namespace cackle {
 namespace {
 
 constexpr SimTimeMs kMaxSimTime = std::numeric_limits<SimTimeMs>::max();
-constexpr int kMaxBucketCount = 1 << 18;
-constexpr SimTimeMs kMaxBucketWidthMs = SimTimeMs{1} << 30;
-
-int64_t RoundUpPow2(int64_t v) {
-  int64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -184,44 +178,44 @@ class Simulation::BinaryHeapQueue : public Simulation::QueueImpl {
 };
 
 // ---------------------------------------------------------------------------
-// Calendar-queue scheduler: a bucketed wheel over the near future with a
-// min-heap overflow for far-future events, arena-allocated event nodes, and
-// generation-checked handles.
+// Radix-heap scheduler: a monotone priority queue keyed on `when`, with
+// arena-allocated event nodes and generation-checked handles.
 //
-// Layout invariants (the determinism argument lives in DESIGN.md):
-//  - `batch_` holds the extracted front run, sorted by (when, seq); every
-//    batch entry orders strictly before every wheel/overflow entry.
-//  - each wheel bucket holds only entries of its *current* window
-//    [window, window + width) — far-future events sit in `overflow_` until
-//    the advancing horizon migrates them, so buckets never mix revolutions.
-//  - within a bucket, entries at equal `when` appear in ascending `seq`
-//    order (appends happen in schedule order; migration pops the overflow
-//    heap in (when, seq) order before any direct append can occur).
+// Simulated time never goes backwards, so every pending entry has
+// when >= last_, the time of the latest extraction. An entry lives in
+// bucket bit_width(when ^ last_): bucket 0 holds the entries at exactly
+// last_, bucket b > 0 those whose highest bit differing from last_ is bit
+// b - 1. Invariants (the determinism argument lives in DESIGN.md):
+//  - bucket 0 is consumed from head_. It is refilled only once drained, by
+//    moving last_ to the minimum of the lowest non-empty bucket and
+//    redistributing that bucket in order.
+//  - FIFO among ties needs no sort: entries of equal time always share a
+//    bucket (the index depends only on when and last_), a direct schedule
+//    carries the largest seq so far and appends, and a redistribution
+//    moves a whole bucket in order, so within every bucket equal-time
+//    entries stay in ascending seq order.
+//  - last_ moves only to the time of a live entry that is about to pop,
+//    never on a peek that finds it beyond the limit: RunUntil may stop
+//    there, and a later ScheduleAt may still land in between.
+//  - redistribution only ever moves an entry to a lower bucket, so
+//    schedule and pop are O(1) amortized for any spread of event times.
 //  - a cancelled event frees its node immediately (generation bump); the
-//    queue entry left behind is a tombstone skipped on pop and removed in
-//    bulk by the lazy compaction sweep.
+//    entry left behind is a tombstone skipped on pop and removed in bulk by
+//    the lazy compaction sweep.
 // ---------------------------------------------------------------------------
 
-class Simulation::CalendarQueue : public Simulation::QueueImpl {
+class Simulation::RadixHeap : public Simulation::QueueImpl {
  public:
-  CalendarQueue(Stats* stats, const SimOptions& options)
-      : QueueImpl(stats, options) {
-    bucket_count_ = static_cast<int>(RoundUpPow2(
-        std::max(2, options.initial_bucket_count)));
-    width_shift_ = ShiftFor(std::max<SimTimeMs>(1,
-        options.initial_bucket_width_ms));
-    buckets_.resize(static_cast<size_t>(bucket_count_));
-  }
+  using QueueImpl::QueueImpl;
 
   uint64_t Schedule(SimTimeMs when, uint64_t seq, Callback cb) override {
+    CACKLE_CHECK_GE(when, last_);
     const uint32_t slot = pool_.Alloc();
     Node& node = pool_.at(slot);
     node.cb = std::move(cb);
-    node.when = when;
-    node.seq = seq;
     node.live = true;
-    Insert(Entry{when, seq, slot, node.gen});
-    MaybeResize();
+    buckets_[BucketFor(when)].push_back(Entry{when, seq, slot, node.gen});
+    ++entries_;
     return MakeId(slot, node.gen);
   }
 
@@ -238,36 +232,39 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
   }
 
   bool PopNext(SimTimeMs limit, SimTimeMs* when, Callback* cb) override {
+    std::vector<Entry>& front = buckets_[0];
     for (;;) {
-      while (!BatchEmpty() && IsStale(batch_[batch_head_])) {
-        BatchPopFront();
-        --tombstones_;
+      if (head_ == front.size()) {
+        front.clear();
+        head_ = 0;
+        if (!Refill(limit)) return false;
       }
-      if (BatchEmpty()) {
-        if (!Refill()) return false;
+      const Entry e = front[head_];
+      Node& node = pool_.at(e.slot);
+      if (node.gen != e.gen) {
+        ++head_;
+        --entries_;
+        --tombstones_;
         continue;
       }
-      const Entry front = batch_[batch_head_];
-      if (front.when > limit) return false;
-      BatchPopFront();
-      Node& node = pool_.at(front.slot);
-      *when = front.when;
+      if (e.when > limit) return false;
+      ++head_;
+      --entries_;
+      *when = e.when;
       *cb = std::move(node.cb);
-      FreeNode(front.slot, node);
+      FreeNode(e.slot, node);
       return true;
     }
   }
 
-  int64_t entries() const override {
-    return wheel_entries_ + static_cast<int64_t>(overflow_.size()) +
-           static_cast<int64_t>(batch_.size() - batch_head_);
-  }
+  int64_t entries() const override { return entries_; }
 
  private:
+  /// bit_width of a 64-bit XOR is 0..64.
+  static constexpr size_t kBuckets = 65;
+
   struct Node {
     Callback cb;
-    SimTimeMs when = 0;
-    uint64_t seq = 0;
     uint32_t gen = 1;
     bool live = false;
   };
@@ -277,48 +274,18 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     uint32_t slot;
     uint32_t gen;
   };
-  struct EntryAfter {
-    // Min-heap order for the overflow: pop earliest (when, seq) first.
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  static bool EntryBefore(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
 
   static uint64_t MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(gen) << 32) | slot;
   }
 
-  static int ShiftFor(SimTimeMs width) {
-    int shift = 0;
-    while ((SimTimeMs{1} << shift) < width) ++shift;
-    return shift;
+  size_t BucketFor(SimTimeMs when) const {
+    return static_cast<size_t>(std::bit_width(static_cast<uint64_t>(when) ^
+                                              static_cast<uint64_t>(last_)));
   }
-
-  SimTimeMs Width() const { return SimTimeMs{1} << width_shift_; }
-  SimTimeMs Horizon() const {
-    return window_ + (static_cast<SimTimeMs>(bucket_count_) << width_shift_);
-  }
-  size_t BucketIndex(SimTimeMs when) const {
-    return static_cast<size_t>((when >> width_shift_) &
-                               (bucket_count_ - 1));
-  }
-  bool IsStale(const Entry& e) const {
-    const Node& node = pool_.at(e.slot);
-    return !node.live || node.gen != e.gen;
-  }
-
-  bool BatchEmpty() const { return batch_head_ == batch_.size(); }
-  void BatchPopFront() {
-    if (++batch_head_ == batch_.size()) {
-      batch_.clear();
-      batch_head_ = 0;
-    }
-  }
+  /// Every free bumps the node's generation, so an entry whose event was
+  /// cancelled (or already ran) never matches it again.
+  bool IsStale(const Entry& e) const { return pool_.at(e.slot).gen != e.gen; }
 
   void FreeNode(uint32_t slot, Node& node) {
     node.cb.reset();
@@ -327,222 +294,80 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     pool_.Free(slot);
   }
 
-  int64_t LiveCount() const { return entries() - tombstones_; }
-
-  void Insert(const Entry& e) {
-    if (!BatchEmpty() && e.when < batch_.back().when) {
-      // Precedes part of the already-extracted run: splice it in. Every
-      // batch entry orders before the whole wheel, so this preserves the
-      // batch invariant; the new event's seq is the largest so far, which
-      // upper_bound places after any equal-time batch entries.
-      batch_.insert(std::upper_bound(batch_.begin() +
-                                         static_cast<ptrdiff_t>(batch_head_),
-                                     batch_.end(), e, EntryBefore),
-                    e);
-    } else if (e.when < window_) {
-      // Before every wheel window (the clock has not caught up with the
-      // wheel cursor) but at-or-after the batch tail: extend the run.
-      batch_.push_back(e);
-    } else if (e.when >= Horizon()) {
-      overflow_.push(e);
-    } else {
-      buckets_[BucketIndex(e.when)].push_back(e);
-      ++wheel_entries_;
-    }
+  void DropTombstones(int64_t n) {
+    entries_ -= n;
+    tombstones_ -= n;
   }
 
-  /// Ensures batch_ is non-empty, walking the wheel cursor forward (and
-  /// migrating overflow entries as the horizon advances). Returns false
-  /// when no live entries remain anywhere.
-  bool Refill() {
-    while (BatchEmpty()) {
-      if (wheel_entries_ == 0) {
-        if (overflow_.empty()) return false;
-        // Fast-forward the wheel straight to the earliest overflow event
-        // instead of stepping through empty buckets.
-        window_ = overflow_.top().when & ~(Width() - 1);
-        Migrate();
-        continue;
-      }
-      std::vector<Entry>& bucket = buckets_[BucketIndex(window_)];
-      if (bucket.empty()) {
-        window_ += Width();
-        Migrate();
-        continue;
-      }
-      // Extract the earliest tie group. Bucket order is append order, so
-      // equal-time entries come out in ascending seq — FIFO for free.
-      // Tombstones ride along deliberately: checking staleness here would
-      // dereference the pool node for every entry (a cold cache line per
-      // event); PopNext already skips stale batch entries while touching
-      // the same line it needs for the callback anyway.
-      SimTimeMs min_when = bucket[0].when;
-      for (const Entry& e : bucket) min_when = std::min(min_when, e.when);
-      size_t w = 0;
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        if (bucket[r].when == min_when) {
-#if defined(__GNUC__) || defined(__clang__)
-          // PopNext touches the pool node (staleness + callback) right
-          // after this; start pulling the line now so the pop doesn't
-          // stall on a cold miss at large populations.
-          __builtin_prefetch(&pool_.at(bucket[r].slot));
-#endif
-          batch_.push_back(bucket[r]);
-          --wheel_entries_;
-        } else {
-          bucket[w++] = bucket[r];
+  /// Refills the drained bucket 0 from the lowest bucket holding a live
+  /// entry. Returns false, with last_ unchanged, when no live entry is left
+  /// or the earliest one lies beyond `limit`.
+  bool Refill(SimTimeMs limit) {
+    for (size_t b = 1; b < kBuckets; ++b) {
+      std::vector<Entry>& bucket = buckets_[b];
+      if (bucket.empty()) continue;
+      // Minimum over live entries. Only an entry that would lower the
+      // running minimum is checked against its node, so tombstones below
+      // the live minimum are known stale and dropped on redistribution.
+      SimTimeMs min_when = kMaxSimTime;
+      bool found = false;
+      for (const Entry& e : bucket) {
+        if ((!found || e.when < min_when) && !IsStale(e)) {
+          min_when = e.when;
+          found = true;
         }
       }
-      bucket.resize(w);
-    }
-    return true;
-  }
-
-  /// Moves overflow entries now inside the horizon into their buckets.
-  /// The heap pops in (when, seq) order, so equal-time entries land in a
-  /// bucket in seq order ahead of any later direct appends.
-  void Migrate() {
-    const SimTimeMs horizon = Horizon();
-    while (!overflow_.empty() && overflow_.top().when < horizon) {
-      const Entry e = overflow_.top();
-      overflow_.pop();
-      if (IsStale(e)) {
-        --tombstones_;
+      if (!found) {
+        DropTombstones(static_cast<int64_t>(bucket.size()));
+        bucket.clear();
         continue;
       }
-      buckets_[BucketIndex(e.when)].push_back(e);
-      ++wheel_entries_;
-      ++stats_->overflow_migrations;
-    }
-  }
-
-  /// Grows the wheel (and re-derives the bucket width from the live event
-  /// span) once average occupancy passes 2 events/bucket, keeping
-  /// schedule/pop O(1) amortized as the population grows.
-  void MaybeResize() {
-    if (bucket_count_ >= kMaxBucketCount) return;
-    if (LiveCount() <= 2 * static_cast<int64_t>(bucket_count_)) return;
-
-    std::vector<Entry> all;
-    all.reserve(static_cast<size_t>(wheel_entries_) + overflow_.size());
-    for (std::vector<Entry>& bucket : buckets_) {
+      if (min_when > limit) return false;
+      last_ = min_when;
       for (const Entry& e : bucket) {
-        if (IsStale(e)) {
-          --tombstones_;
-          ++stats_->tombstones_purged;
+        if (e.when < min_when) {
+          DropTombstones(1);
         } else {
-          all.push_back(e);
+          buckets_[BucketFor(e.when)].push_back(e);
         }
       }
       bucket.clear();
+      return true;
     }
-    while (!overflow_.empty()) {
-      const Entry e = overflow_.top();
-      overflow_.pop();
-      if (IsStale(e)) {
-        --tombstones_;
-        ++stats_->tombstones_purged;
-      } else {
-        all.push_back(e);
-      }
-    }
-    wheel_entries_ = 0;
-    if (all.empty()) return;
-
-    // Sort up front: the width estimate below needs quantiles, and the
-    // redistribution needs (when, seq) order so each bucket's equal-time
-    // runs stay seq-sorted.
-    std::sort(all.begin(), all.end(), EntryBefore);
-    const int64_t n = static_cast<int64_t>(all.size());
-    const SimTimeMs min_when = all.front().when;
-    // Width ~ quantile-span/n targets one event per bucket across the bulk
-    // of the live population. Using the full span here is the classic
-    // calendar-queue skew trap: one far-future outlier (a timeout, a spot
-    // lifetime) would inflate the width until every near-term event lands
-    // in a single bucket and pops degrade to O(n). Events beyond the
-    // quantile simply wait in the overflow heap and migrate in later.
-    const size_t q_idx = static_cast<size_t>((3 * n) / 4);
-    const SimTimeMs q_when = all[std::min(q_idx, all.size() - 1)].when;
-    const int64_t q_n = std::max<int64_t>(static_cast<int64_t>(q_idx), 1);
-    const SimTimeMs span = q_when - min_when + 1;
-    SimTimeMs width = 1;
-    while (width < span / q_n && width < kMaxBucketWidthMs) width <<= 1;
-    width_shift_ = ShiftFor(width);
-    bucket_count_ = static_cast<int>(
-        std::min<int64_t>(RoundUpPow2(2 * n), kMaxBucketCount));
-    buckets_.assign(static_cast<size_t>(bucket_count_), {});
-    window_ = min_when & ~(Width() - 1);
-    const SimTimeMs horizon = Horizon();
-    for (Entry& e : all) {
-      if (e.when >= horizon) {
-        overflow_.push(e);
-      } else {
-        buckets_[BucketIndex(e.when)].push_back(e);
-        ++wheel_entries_;
-      }
-    }
-    ++stats_->calendar_resizes;
+    return false;
   }
 
   /// Bulk tombstone sweep, triggered from Cancel once stale entries exceed
   /// both the configured floor and 2x the live population.
   void MaybeCompact() {
     if (tombstones_ <= options_.min_compaction_tombstones ||
-        tombstones_ <= 2 * LiveCount()) {
+        tombstones_ <= 2 * (entries_ - tombstones_)) {
       return;
     }
+    std::vector<Entry>& front = buckets_[0];
+    front.erase(front.begin(), front.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+    int64_t purged = 0;
     for (std::vector<Entry>& bucket : buckets_) {
-      size_t w = 0;
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        if (IsStale(bucket[r])) {
-          --wheel_entries_;
-          ++stats_->tombstones_purged;
-        } else {
-          bucket[w++] = bucket[r];
-        }
-      }
-      bucket.resize(w);
+      const size_t before = bucket.size();
+      bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
+                                  [this](const Entry& e) { return IsStale(e); }),
+                   bucket.end());
+      purged += static_cast<int64_t>(before - bucket.size());
     }
-    std::vector<Entry> keep;
-    keep.reserve(overflow_.size());
-    while (!overflow_.empty()) {
-      const Entry e = overflow_.top();
-      overflow_.pop();
-      if (IsStale(e)) {
-        ++stats_->tombstones_purged;
-      } else {
-        keep.push_back(e);
-      }
-    }
-    for (const Entry& e : keep) overflow_.push(e);
-    const auto stale_batch = [this](const Entry& e) {
-      if (!IsStale(e)) return false;
-      ++stats_->tombstones_purged;
-      return true;
-    };
-    batch_.erase(batch_.begin(),
-                 batch_.begin() + static_cast<ptrdiff_t>(batch_head_));
-    batch_head_ = 0;
-    batch_.erase(std::remove_if(batch_.begin(), batch_.end(), stale_batch),
-                 batch_.end());
+    entries_ -= purged;
+    stats_->tombstones_purged += purged;
     tombstones_ = 0;
     ++stats_->compactions;
   }
 
   SlabPool<Node> pool_{1024};
-  std::vector<std::vector<Entry>> buckets_;
-  std::priority_queue<Entry, std::vector<Entry>, EntryAfter> overflow_;
-  /// Extracted front run, sorted by (when, seq), consumed from
-  /// batch_head_; see class comment. A vector+cursor rather than a deque:
-  /// the pop path is hot and the cursor keeps it branch-cheap and
-  /// contiguous.
-  std::vector<Entry> batch_;
-  size_t batch_head_ = 0;
-  int bucket_count_ = 0;
-  int width_shift_ = 0;
-  /// Start of the current bucket's window (multiple of Width()).
-  SimTimeMs window_ = 0;
-  int64_t wheel_entries_ = 0;
+  std::array<std::vector<Entry>, kBuckets> buckets_;
+  /// Next unconsumed entry of buckets_[0].
+  size_t head_ = 0;
+  SimTimeMs last_ = 0;
+  /// Resident entries in all buckets past head_, tombstones included.
+  int64_t entries_ = 0;
   int64_t tombstones_ = 0;
 };
 
@@ -556,7 +381,7 @@ Simulation::Simulation(const SimOptions& options) : options_(options) {
   if (options_.scheduler == SimScheduler::kBinaryHeap) {
     queue_ = std::make_unique<BinaryHeapQueue>(&stats_, options_);
   } else {
-    queue_ = std::make_unique<CalendarQueue>(&stats_, options_);
+    queue_ = std::make_unique<RadixHeap>(&stats_, options_);
   }
 }
 

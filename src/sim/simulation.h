@@ -31,24 +31,17 @@ constexpr SimTimeMs SecondsToMs(double seconds) {
 /// the other (enforced by sim_scheduler_property_test and
 /// sim_differential_test). kBinaryHeap is the original pointer-based
 /// std::priority_queue kernel, kept as the differential-testing reference
-/// and the performance baseline; kCalendarQueue is the O(1)-amortized
-/// bucketed-wheel scheduler with arena-allocated event nodes.
+/// and the performance baseline; kRadixHeap is the O(1)-amortized monotone
+/// radix heap with arena-allocated event nodes.
 enum class SimScheduler {
   kBinaryHeap,
-  kCalendarQueue,
+  kRadixHeap,
 };
 
 /// Tuning for the simulation kernel. Defaults are right for every workload
 /// in this repo; the knobs exist for tests and benchmarks.
 struct SimOptions {
-  SimScheduler scheduler = SimScheduler::kCalendarQueue;
-
-  /// Calendar-wheel starting geometry. Both are rounded up to powers of
-  /// two; the wheel re-sizes itself (doubling buckets, re-deriving the
-  /// bucket width from the live event-time span) as the event population
-  /// grows, so these only set the floor.
-  int initial_bucket_count = 1024;
-  SimTimeMs initial_bucket_width_ms = 16;
+  SimScheduler scheduler = SimScheduler::kRadixHeap;
 
   /// Lazy tombstone compaction: a cancelled event frees its node
   /// immediately but leaves a stale (slot, generation) entry in the queue
@@ -84,10 +77,6 @@ class Simulation {
     int64_t compactions = 0;
     /// Stale (cancelled) queue entries physically removed by sweeps.
     int64_t tombstones_purged = 0;
-    /// Calendar geometry rebuilds (bucket doubling / width re-derivation).
-    int64_t calendar_resizes = 0;
-    /// Entries migrated from the far-future overflow into the wheel.
-    int64_t overflow_migrations = 0;
     /// High-water mark of resident queue entries (live + tombstones).
     int64_t peak_queue_entries = 0;
   };
@@ -134,7 +123,7 @@ class Simulation {
  private:
   class QueueImpl;        // scheduler interface
   class BinaryHeapQueue;  // reference implementation
-  class CalendarQueue;    // bucketed-wheel implementation
+  class RadixHeap;        // monotone radix-heap implementation
 
   const SimOptions options_;
   SimTimeMs now_ = 0;

@@ -402,7 +402,7 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchThreadDifferentialTest,
 // Engine-level scheduler golden fingerprints: a full engine run is hashed
 // (every latency sample's bit pattern plus every counter) into one uint64,
 // and the fingerprint must be identical under the binary-heap and
-// calendar-queue event schedulers for every covered workload. This is the
+// radix-heap event schedulers for every covered workload. This is the
 // golden-suite form of the scheduler bit-identity contract.
 // ---------------------------------------------------------------------------
 
@@ -488,10 +488,10 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
     SCOPED_TRACE(c.label);
     const uint64_t heap =
         EngineFingerprint(SimScheduler::kBinaryHeap, c.workload, c.engine);
-    const uint64_t calendar = EngineFingerprint(SimScheduler::kCalendarQueue,
-                                                c.workload, c.engine);
+    const uint64_t radix =
+        EngineFingerprint(SimScheduler::kRadixHeap, c.workload, c.engine);
     EXPECT_NE(heap, 1469598103934665603ULL) << "empty run fingerprint";
-    EXPECT_EQ(heap, calendar);
+    EXPECT_EQ(heap, radix);
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential bit-identity of the two event schedulers at engine scope.
 //
-// The Simulation contract says kBinaryHeap and kCalendarQueue execute the
+// The Simulation contract says kBinaryHeap and kRadixHeap execute the
 // exact same event sequence; this test enforces it where it matters — a
 // full engine run. A representative mixed workload (with faults, so the
 // cancel paths are hot: straggler speculation, retries, timeouts) and the
@@ -110,13 +110,13 @@ TEST(SimDifferentialTest, RepresentativeWorkloadIsBitIdentical) {
 
   const EngineResult heap =
       RunWith(SimScheduler::kBinaryHeap, opts, arrivals, lib, cost);
-  const EngineResult calendar =
-      RunWith(SimScheduler::kCalendarQueue, opts, arrivals, lib, cost);
+  const EngineResult radix =
+      RunWith(SimScheduler::kRadixHeap, opts, arrivals, lib, cost);
 
   EXPECT_GT(heap.queries_completed, 0);
   EXPECT_GT(heap.tasks_retried + heap.tasks_speculated, 0)
       << "workload did not exercise the cancel paths";
-  ExpectIdenticalResults(heap, calendar);
+  ExpectIdenticalResults(heap, radix);
 }
 
 // Multi-tenant admission control + retry-budget deferral: the DRR drain,
@@ -150,14 +150,14 @@ TEST(SimDifferentialTest, MultiTenantAdmissionAndDeferralIsBitIdentical) {
 
   const EngineResult heap =
       RunWith(SimScheduler::kBinaryHeap, opts, arrivals, lib, cost);
-  const EngineResult calendar =
-      RunWith(SimScheduler::kCalendarQueue, opts, arrivals, lib, cost);
+  const EngineResult radix =
+      RunWith(SimScheduler::kRadixHeap, opts, arrivals, lib, cost);
 
   EXPECT_GT(heap.queries_completed, 0);
   EXPECT_GT(heap.queries_deferred, 0)
       << "workload did not exercise the admission queues";
   EXPECT_GT(heap.tenants.size(), 1u);
-  ExpectIdenticalResults(heap, calendar);
+  ExpectIdenticalResults(heap, radix);
 }
 
 TEST(SimDifferentialTest, ReclamationStormScenarioIsBitIdentical) {
@@ -173,12 +173,12 @@ TEST(SimDifferentialTest, ReclamationStormScenarioIsBitIdentical) {
   const EngineOptions opts = scenario.ToEngineOptions();
   const EngineResult heap =
       RunWith(SimScheduler::kBinaryHeap, opts, arrivals, lib, cost);
-  const EngineResult calendar =
-      RunWith(SimScheduler::kCalendarQueue, opts, arrivals, lib, cost);
+  const EngineResult radix =
+      RunWith(SimScheduler::kRadixHeap, opts, arrivals, lib, cost);
 
   EXPECT_GT(heap.storm_reclaims, 0)
       << "scenario did not trigger reclamation storms";
-  ExpectIdenticalResults(heap, calendar);
+  ExpectIdenticalResults(heap, radix);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ namespace cackle {
 namespace {
 
 std::string SchedulerName(SimScheduler s) {
-  return s == SimScheduler::kBinaryHeap ? "BinaryHeap" : "CalendarQueue";
+  return s == SimScheduler::kBinaryHeap ? "BinaryHeap" : "RadixHeap";
 }
 
 SimOptions WithScheduler(SimScheduler s) {
@@ -80,7 +80,7 @@ TEST_P(SimulationTest, CancelAfterFireReturnsFalse) {
   const uint64_t id = sim.ScheduleAt(100, [&] { ++ran; });
   sim.RunToCompletion();
   EXPECT_EQ(ran, 1);
-  // The handle is stale: the event already fired (and with the calendar
+  // The handle is stale: the event already fired (and with the radix-heap
   // scheduler its arena slot may have been recycled since).
   EXPECT_FALSE(sim.Cancel(id));
   EXPECT_EQ(ran, 1);
@@ -90,7 +90,7 @@ TEST_P(SimulationTest, StaleHandleAfterSlotReuseIsRejected) {
   Simulation sim(Options());
   const uint64_t first = sim.ScheduleAt(10, [] {});
   sim.RunToCompletion();
-  // Schedule more events; the calendar scheduler will recycle the fired
+  // Schedule more events; the radix-heap scheduler will recycle the fired
   // event's arena slot. The old handle must not cancel the new occupant.
   bool second_ran = false;
   sim.ScheduleAt(20, [&] { second_ran = true; });
@@ -147,8 +147,8 @@ TEST_P(SimulationTest, CancelInterleavedWithExecution) {
 }
 
 TEST_P(SimulationTest, FarFutureEventsExecuteInOrder) {
-  // Exercises the calendar overflow heap and wheel fast-forward: event
-  // times span ten orders of magnitude, far beyond the initial horizon.
+  // Event times span ten orders of magnitude, so the radix heap spreads
+  // them over many buckets and redistributes each level on the way down.
   Simulation sim(Options());
   std::vector<SimTimeMs> fired;
   const std::vector<SimTimeMs> times = {
@@ -241,7 +241,7 @@ TEST_P(SimulationTest, RepeatedCancelWavesKeepQueueBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, SimulationTest,
                          ::testing::Values(SimScheduler::kBinaryHeap,
-                                           SimScheduler::kCalendarQueue),
+                                           SimScheduler::kRadixHeap),
                          [](const auto& info) {
                            return SchedulerName(info.param);
                          });
@@ -289,7 +289,7 @@ TEST_P(SimulationPropertyTest, RandomScheduleExecutesInOrder) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SimulationPropertyTest,
     ::testing::Combine(::testing::Values(SimScheduler::kBinaryHeap,
-                                         SimScheduler::kCalendarQueue),
+                                         SimScheduler::kRadixHeap),
                        ::testing::Values(71, 72, 73, 74, 75)),
     [](const auto& info) {
       return SchedulerName(std::get<0>(info.param)) + "_" +
