@@ -134,14 +134,19 @@ run_config build-tsan \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCACKLE_SANITIZE=thread
 
 # ------------------------------------------------------------- chaos smoke
-# One correlated-failure storm scenario end to end in the TSan build: the
-# driver exits non-zero unless every arrival is accounted for (completed +
-# shed). Bit-identity of the chaos engine's zero-fault configuration
-# against the 25 seed golden checksums is gated by golden_results_test,
-# which runs in the Release suite and again in the TSan filter above.
-echo "=== chaos smoke (reclamation_storm, TSan build) ==="
-CACKLE_FAST_BENCH=1 ./build-tsan/bench/chaos_matrix \
-  --scenario=reclamation_storm
+# Two correlated-failure scenarios end to end in the TSan build: the storm
+# alone, and full_chaos (every fault process at once, the scenario the
+# engine_chaos benchmark workload is built on). The driver exits non-zero
+# unless every arrival is accounted for (completed + shed) and writes no
+# artifact when a scenario is named. Bit-identity of the chaos engine's
+# zero-fault configuration against the 25 seed golden checksums is gated
+# by golden_results_test, which runs in the Release suite and again in the
+# TSan filter above.
+for scenario in reclamation_storm full_chaos; do
+  echo "=== chaos smoke (${scenario}, TSan build) ==="
+  CACKLE_FAST_BENCH=1 ./build-tsan/bench/chaos_matrix \
+    --scenario="${scenario}"
+done
 
 # Multi-tenant smoke: the tenant-count sweep (fast grid) in the TSan build.
 # Exercises weighted-fair admission, per-tenant invoicing, and the sweep

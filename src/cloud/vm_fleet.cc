@@ -1,6 +1,7 @@
 #include "cloud/vm_fleet.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
@@ -29,6 +30,7 @@ void VmFleet::SetTarget(int64_t target) {
   while (num_allocated() < target_) {
     const VmId id = static_cast<VmId>(vms_.size());
     vms_.push_back(Vm{});
+    if (id % 64 == 0) ready_bits_.push_back(0);
     Vm& vm = vms_.back();
     vm.state = VmState::kPending;
     vm.pending_event =
@@ -59,6 +61,7 @@ void VmFleet::OnVmStarted(VmId id) {
   }
   vm.state = VmState::kIdle;
   vm.ready_time = sim_->NowMs();
+  ready_bits_[static_cast<size_t>(id / 64)] |= uint64_t{1} << (id % 64);
   idle_.push_back(id);
   ++num_idle_;
   ++total_started_;
@@ -144,6 +147,7 @@ void VmFleet::BillAndRetire(VmId id) {
   CACKLE_CHECK(vm.state != VmState::kTerminated);
   CACKLE_CHECK(vm.state != VmState::kPending);
   vm.state = VmState::kTerminated;
+  ready_bits_[static_cast<size_t>(id / 64)] &= ~(uint64_t{1} << (id % 64));
   ++total_terminated_;
   const SimTimeMs runtime = sim_->NowMs() - vm.ready_time;
   total_runtime_ms_ += runtime;
@@ -190,8 +194,7 @@ void VmFleet::Interrupt(VmId id) {
     }
     BillAndRetire(id);
   } else {
-    auto it = std::find(idle_.begin(), idle_.end(), id);
-    if (it != idle_.end()) idle_.erase(it);
+    // Its idle_ entry stays behind as a stale one; every consumer skips it.
     --num_idle_;
     BillAndRetire(id);
   }
@@ -217,19 +220,22 @@ bool VmFleet::InterruptOneIdle() {
 
 int64_t VmFleet::InterruptN(int64_t count) {
   if (count <= 0) return 0;
-  // Pick victims by ascending id for determinism, then interrupt outside
-  // the scan: rescuing a busy victim's task may acquire an idle VM, and
-  // Interrupt tolerates (skips) victims whose state changed meanwhile.
+  // Victims are the `count` lowest-id READY VMs. Collect them all before
+  // interrupting any: rescuing a busy victim's task may acquire an idle VM
+  // that is itself a later victim, and Interrupt tolerates (skips) victims
+  // whose state changed meanwhile. The walk also counts the whole index
+  // against the fleet's READY tally.
   std::vector<VmId> victims;
-  for (VmId id = 0;
-       id < static_cast<VmId>(vms_.size()) &&
-       static_cast<int64_t>(victims.size()) < count;
-       ++id) {
-    const VmState state = vms_[static_cast<size_t>(id)].state;
-    if (state == VmState::kIdle || state == VmState::kBusy) {
-      victims.push_back(id);
+  int64_t indexed = 0;
+  for (size_t w = 0; w < ready_bits_.size(); ++w) {
+    uint64_t bits = ready_bits_[w];
+    indexed += std::popcount(bits);
+    for (; bits != 0 && static_cast<int64_t>(victims.size()) < count;
+         bits &= bits - 1) {
+      victims.push_back(static_cast<VmId>(w * 64) + std::countr_zero(bits));
     }
   }
+  CACKLE_CHECK_EQ(indexed, num_ready()) << "ready index out of step";
   int64_t reclaimed = 0;
   for (VmId id : victims) {
     const VmState state = vms_[static_cast<size_t>(id)].state;
@@ -278,12 +284,13 @@ void VmFleet::DeferredTerminationCheck(VmId id) {
   Vm& vm = vms_[static_cast<size_t>(id)];
   if (vm.state != VmState::kIdle) return;        // got busy or terminated
   if (num_allocated() <= target_) return;        // target recovered
-  auto it = std::find(idle_.begin(), idle_.end(), id);
-  if (it != idle_.end()) idle_.erase(it);
-  Terminate(id);
+  Terminate(id);  // leaves a stale idle_ entry
 }
 
 void VmFleet::TerminateAll() {
+  int64_t indexed = 0;
+  for (uint64_t bits : ready_bits_) indexed += std::popcount(bits);
+  CACKLE_CHECK_EQ(indexed, num_ready()) << "ready index out of step";
   target_ = 0;
   while (!pending_.empty()) {
     const VmId id = pending_.back();

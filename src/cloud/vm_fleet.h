@@ -130,6 +130,12 @@ VmFleet {
   int64_t num_pending() const { return static_cast<int64_t>(pending_.size()); }
   /// Ready + pending: what the provider considers allocated.
   int64_t num_allocated() const { return num_ready() + num_pending(); }
+  /// Whether `id` names a READY (idle or busy) VM. Read-only; for tests.
+  bool is_ready(VmId id) const {
+    if (id < 0 || id >= static_cast<VmId>(vms_.size())) return false;
+    const VmState state = vms_[static_cast<size_t>(id)].state;
+    return state == VmState::kIdle || state == VmState::kBusy;
+  }
 
   int64_t total_vms_started() const { return total_started_; }
   int64_t total_vms_terminated() const { return total_terminated_; }
@@ -139,13 +145,14 @@ VmFleet {
   SimTimeMs total_runtime_ms() const { return total_runtime_ms_; }
 
  private:
-  enum class VmState { kPending, kIdle, kBusy, kTerminated };
+  enum class VmState : uint8_t { kPending, kIdle, kBusy, kTerminated };
 
+  // 24 bytes: vms_ keeps one per VM ever requested (ids are never reused).
   struct Vm {
-    VmState state = VmState::kPending;
     SimTimeMs ready_time = 0;
     uint64_t pending_event = 0;  // startup event id while kPending
     int32_t tenant = 0;          // tenant running on it while kBusy
+    VmState state = VmState::kPending;
   };
 
   /// Whether `tenant` may take an idle VM under the reservation policy.
@@ -169,7 +176,13 @@ VmFleet {
   CostCategory category_;
 
   std::vector<Vm> vms_;
-  std::deque<VmId> idle_;     // FIFO for deterministic acquisition order
+  /// One bit per VmId, set from READY until BillAndRetire: the victim index
+  /// InterruptN walks in ascending id order without touching dead VMs.
+  std::vector<uint64_t> ready_bits_;
+  /// FIFO for deterministic acquisition order. A VM reclaimed or terminated
+  /// while idle leaves a stale entry (terminated is final); every consumer
+  /// skips entries whose VM is not kIdle.
+  std::deque<VmId> idle_;
   std::deque<VmId> pending_;  // newest at the back; cancelled LIFO
   int64_t target_ = 0;
   int64_t num_idle_ = 0;

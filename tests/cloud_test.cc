@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "cloud/billing.h"
@@ -254,6 +259,393 @@ TEST_F(VmFleetTest, TerminateAllFlushesBilling) {
   fleet.TerminateAll();
   EXPECT_EQ(fleet.num_ready(), 0);
   EXPECT_NEAR(meter_.CategoryDollars(CostCategory::kVm), 5 * 0.03, 1e-9);
+}
+
+TEST_F(VmFleetTest, StormNeverReclaimsPendingOrFailedLaunches) {
+  FaultProfile profile;
+  profile.vm_launch_failure_rate = 0.5;
+  FaultInjector injector(profile, 11);
+  VmFleet fleet(&sim_, &cost_, &meter_);
+  fleet.SetFaultInjector(&injector);
+  std::vector<VmId> started;
+  fleet.SetOnVmReady([&](VmId id) { started.push_back(id); });
+  fleet.SetTarget(8);
+  sim_.RunUntil(cost_.vm_startup_ms);  // first launches: about half fail
+  ASSERT_GT(fleet.total_launch_failures(), 0);
+  ASSERT_GT(fleet.num_pending(), 0);  // their re-requests
+  const int64_t ready = fleet.num_ready();
+  ASSERT_EQ(ready, static_cast<int64_t>(started.size()));
+  EXPECT_EQ(fleet.InterruptN(100), ready);
+  EXPECT_EQ(fleet.total_vms_interrupted(), ready);
+  EXPECT_EQ(fleet.num_ready(), 0);
+  // Only started VMs were reclaimed; the replacements are pending.
+  EXPECT_EQ(fleet.total_vms_terminated(), ready);
+  EXPECT_EQ(fleet.num_pending(), 8);
+  EXPECT_EQ(fleet.InterruptN(100), 0);
+}
+
+TEST_F(VmFleetTest, StormRescueMayTakeALaterVictim) {
+  VmFleet fleet(&sim_, &cost_, &meter_);
+  fleet.SetTarget(3);
+  sim_.RunUntil(cost_.vm_startup_ms);
+  ASSERT_EQ(fleet.TryAcquire(), std::optional<VmId>(0));
+  // Each busy victim's task moves to the next idle VM, as the engine's
+  // rescue does.
+  std::vector<VmId> interrupted, rescues;
+  fleet.SetOnVmInterrupted([&](VmId id) {
+    interrupted.push_back(id);
+    if (auto r = fleet.TryAcquire()) rescues.push_back(*r);
+  });
+  // Victims are chosen before any is reclaimed: {0, 1}. Rescuing 0's task
+  // takes idle VM 1, so 1 is reclaimed busy and its task moves on to 2.
+  EXPECT_EQ(fleet.InterruptN(2), 2);
+  EXPECT_EQ(interrupted, (std::vector<VmId>{0, 1}));
+  EXPECT_EQ(rescues, (std::vector<VmId>{1, 2}));
+  EXPECT_FALSE(fleet.is_ready(0));
+  EXPECT_FALSE(fleet.is_ready(1));
+  EXPECT_TRUE(fleet.is_ready(2));
+  EXPECT_EQ(fleet.num_busy(), 1);
+  EXPECT_EQ(fleet.num_idle(), 0);
+  EXPECT_EQ(fleet.num_pending(), 2);  // replacements for 0 and 1
+}
+
+TEST_F(VmFleetTest, StaleIdleEntriesAreNeverHandedOut) {
+  VmFleet fleet(&sim_, &cost_, &meter_);
+  fleet.SetTarget(4);
+  sim_.RunUntil(cost_.vm_startup_ms);
+  // Reclaiming idle VMs 0 and 1 leaves their idle-queue entries behind.
+  ASSERT_EQ(fleet.InterruptN(2), 2);
+  EXPECT_EQ(fleet.num_idle(), 2);
+  EXPECT_EQ(fleet.TryAcquire(), std::optional<VmId>(2));
+  EXPECT_TRUE(fleet.InterruptOneIdle());  // VM 3, not a stale entry
+  EXPECT_FALSE(fleet.is_ready(3));
+  EXPECT_EQ(fleet.total_vms_interrupted(), 3);
+  EXPECT_FALSE(fleet.InterruptOneIdle());
+  EXPECT_FALSE(fleet.TryAcquire().has_value());  // replacements pending
+  fleet.Release(2);
+
+  // A deferred termination leaves a stale entry too: dropping the target
+  // inside the minimum billing window defers terminating the surplus VMs.
+  sim_.RunUntil(2 * cost_.vm_startup_ms);  // replacements 4, 5, 6 ready
+  ASSERT_EQ(fleet.num_idle(), 4);
+  fleet.SetTarget(1);
+  sim_.RunUntil(2 * cost_.vm_startup_ms + cost_.vm_min_billing_ms);
+  ASSERT_EQ(fleet.num_ready(), 1);
+  const std::optional<VmId> survivor = fleet.TryAcquire();
+  ASSERT_TRUE(survivor.has_value());
+  EXPECT_TRUE(fleet.is_ready(*survivor));
+  EXPECT_FALSE(fleet.TryAcquire().has_value());
+  fleet.Release(*survivor);
+  EXPECT_EQ(fleet.InterruptN(10), 1);
+  EXPECT_EQ(fleet.total_vms_terminated(), 7);
+  fleet.SetTarget(0);
+  fleet.TerminateAll();
+  EXPECT_EQ(fleet.num_ready(), 0);
+}
+
+// Brute-force reference for VmFleet's lifecycle: one state per VM, linear
+// scans for every count and for victim selection, and the idle FIFO erased
+// eagerly. It runs on its own Simulation with a twin FaultInjector, so the
+// same operations schedule the same events in the same order and draw the
+// same launch failures as the fleet under test.
+class RefFleet {
+ public:
+  enum class State { kPending, kIdle, kBusy, kTerminated };
+
+  RefFleet(Simulation* sim, const CostModel* cost, FaultInjector* injector)
+      : sim_(sim), cost_(cost), injector_(injector) {}
+
+  std::function<void(VmId)> on_interrupted;
+
+  void SetTarget(int64_t target) {
+    target_ = target;
+    while (Allocated() < target_) {
+      const VmId id = static_cast<VmId>(state_.size());
+      state_.push_back(State::kPending);
+      ready_time_.push_back(0);
+      startup_event_.push_back(sim_->ScheduleAfter(
+          cost_->vm_startup_ms, [this, id] { Started(id); }));
+      pending_.push_back(id);
+    }
+    ReconcileDown();
+  }
+
+  std::optional<VmId> TryAcquire() {
+    if (idle_.empty()) return std::nullopt;
+    const VmId id = idle_.front();
+    idle_.pop_front();
+    state_[static_cast<size_t>(id)] = State::kBusy;
+    return id;
+  }
+
+  void Release(VmId id) {
+    state_[static_cast<size_t>(id)] = State::kIdle;
+    idle_.push_back(id);
+    ReconcileDown();
+  }
+
+  /// The `count` lowest-id READY VMs, by a scan over every VM ever
+  /// requested.
+  std::vector<VmId> Victims(int64_t count) const {
+    std::vector<VmId> victims;
+    for (VmId id = 0; id < static_cast<VmId>(state_.size()) &&
+                      static_cast<int64_t>(victims.size()) < count;
+         ++id) {
+      if (Ready(id)) victims.push_back(id);
+    }
+    return victims;
+  }
+
+  int64_t InterruptN(int64_t count) {
+    int64_t reclaimed = 0;
+    for (VmId id : Victims(count)) {
+      if (!Ready(id)) continue;
+      Interrupt(id);
+      ++reclaimed;
+    }
+    return reclaimed;
+  }
+
+  bool InterruptOneIdle() {
+    if (idle_.empty()) return false;
+    Interrupt(idle_.front());
+    return true;
+  }
+
+  void TerminateAll() {
+    target_ = 0;
+    while (!pending_.empty()) {
+      const VmId id = pending_.back();
+      pending_.pop_back();
+      state_[static_cast<size_t>(id)] = State::kTerminated;
+      sim_->Cancel(startup_event_[static_cast<size_t>(id)]);
+    }
+    while (!idle_.empty()) {
+      const VmId id = idle_.front();
+      idle_.pop_front();
+      Retire(id);
+    }
+  }
+
+  bool Busy(VmId id) const {
+    return state_[static_cast<size_t>(id)] == State::kBusy;
+  }
+  bool Ready(VmId id) const {
+    const State s = state_[static_cast<size_t>(id)];
+    return s == State::kIdle || s == State::kBusy;
+  }
+  int64_t Count(State s) const {
+    return std::count(state_.begin(), state_.end(), s);
+  }
+  int64_t Allocated() const {
+    return Count(State::kIdle) + Count(State::kBusy) +
+           static_cast<int64_t>(pending_.size());
+  }
+  int64_t num_ids() const { return static_cast<int64_t>(state_.size()); }
+  int64_t num_pending() const { return static_cast<int64_t>(pending_.size()); }
+  int64_t started() const { return started_; }
+  int64_t terminated() const { return terminated_; }
+  int64_t interrupted() const { return interrupted_; }
+  int64_t launch_failures() const { return launch_failures_; }
+  SimTimeMs runtime_ms() const { return runtime_ms_; }
+  double dollars() const { return dollars_; }
+
+ private:
+  void Started(VmId id) {
+    pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+    if (injector_->SampleVmLaunchFailure(sim_->NowMs())) {
+      state_[static_cast<size_t>(id)] = State::kTerminated;
+      ++launch_failures_;
+      if (Allocated() < target_) SetTarget(target_);
+      return;
+    }
+    state_[static_cast<size_t>(id)] = State::kIdle;
+    ready_time_[static_cast<size_t>(id)] = sim_->NowMs();
+    idle_.push_back(id);
+    ++started_;
+    ReconcileDown();
+  }
+
+  void Retire(VmId id) {
+    state_[static_cast<size_t>(id)] = State::kTerminated;
+    ++terminated_;
+    const SimTimeMs runtime =
+        sim_->NowMs() - ready_time_[static_cast<size_t>(id)];
+    runtime_ms_ += runtime;
+    dollars_ += cost_->VmCost(runtime);
+  }
+
+  void EraseIdle(VmId id) {
+    idle_.erase(std::find(idle_.begin(), idle_.end(), id));
+  }
+
+  void Interrupt(VmId id) {
+    ++interrupted_;
+    if (state_[static_cast<size_t>(id)] == State::kBusy) {
+      if (on_interrupted) on_interrupted(id);
+    } else {
+      EraseIdle(id);
+    }
+    Retire(id);
+    if (Allocated() < target_) SetTarget(target_);
+  }
+
+  void ReconcileDown() {
+    while (Allocated() > target_ && !pending_.empty()) {
+      const VmId id = pending_.back();
+      pending_.pop_back();
+      state_[static_cast<size_t>(id)] = State::kTerminated;
+      sim_->Cancel(startup_event_[static_cast<size_t>(id)]);
+    }
+    if (Allocated() <= target_) return;
+    std::deque<VmId> still_idle;
+    while (Allocated() > target_ && !idle_.empty()) {
+      const VmId id = idle_.front();
+      idle_.pop_front();
+      const SimTimeMs ready = ready_time_[static_cast<size_t>(id)];
+      if (sim_->NowMs() - ready >= cost_->vm_min_billing_ms) {
+        Retire(id);
+      } else {
+        still_idle.push_back(id);
+        sim_->ScheduleAt(ready + cost_->vm_min_billing_ms,
+                         [this, id] { DeferredCheck(id); });
+      }
+    }
+    for (VmId id : still_idle) idle_.push_back(id);
+  }
+
+  void DeferredCheck(VmId id) {
+    if (state_[static_cast<size_t>(id)] != State::kIdle) return;
+    if (Allocated() <= target_) return;
+    EraseIdle(id);
+    Retire(id);
+  }
+
+  Simulation* sim_;
+  const CostModel* cost_;
+  FaultInjector* injector_;
+  std::vector<State> state_;
+  std::vector<SimTimeMs> ready_time_;
+  std::vector<uint64_t> startup_event_;
+  std::deque<VmId> idle_;
+  std::deque<VmId> pending_;
+  int64_t target_ = 0;
+  int64_t started_ = 0;
+  int64_t terminated_ = 0;
+  int64_t interrupted_ = 0;
+  int64_t launch_failures_ = 0;
+  SimTimeMs runtime_ms_ = 0;
+  double dollars_ = 0.0;
+};
+
+void ExpectFleetMatchesReference(const VmFleet& fleet, const RefFleet& ref,
+                                 const BillingMeter& meter) {
+  ASSERT_EQ(fleet.num_idle(), ref.Count(RefFleet::State::kIdle));
+  ASSERT_EQ(fleet.num_busy(), ref.Count(RefFleet::State::kBusy));
+  ASSERT_EQ(fleet.num_pending(), ref.num_pending());
+  ASSERT_EQ(fleet.total_vms_started(), ref.started());
+  ASSERT_EQ(fleet.total_vms_terminated(), ref.terminated());
+  ASSERT_EQ(fleet.total_vms_interrupted(), ref.interrupted());
+  ASSERT_EQ(fleet.total_launch_failures(), ref.launch_failures());
+  ASSERT_EQ(fleet.total_runtime_ms(), ref.runtime_ms());
+  ASSERT_EQ(meter.CategoryDollars(CostCategory::kVm), ref.dollars());
+  for (VmId id = 0; id <= ref.num_ids(); ++id) {
+    ASSERT_EQ(fleet.is_ready(id), id < ref.num_ids() && ref.Ready(id))
+        << "vm " << id;
+  }
+}
+
+TEST(VmFleetDifferentialTest, RandomOperationsMatchBruteForceReference) {
+  CostModel cost;
+  FaultProfile profile;
+  profile.vm_launch_failure_rate = 0.2;
+  Simulation sim;
+  BillingMeter meter;
+  FaultInjector injector(profile, 31);
+  VmFleet fleet(&sim, &cost, &meter);
+  fleet.SetFaultInjector(&injector);
+  Simulation ref_sim;
+  FaultInjector ref_injector(profile, 31);
+  RefFleet ref(&ref_sim, &cost, &ref_injector);
+
+  // A busy victim's task is rescued onto an idle VM when one exists, as the
+  // engine does; the rescue may take a VM that is itself a later victim.
+  std::vector<VmId> fleet_interrupted, fleet_rescues;
+  std::vector<VmId> ref_interrupted, ref_rescues;
+  fleet.SetOnVmInterrupted([&](VmId id) {
+    fleet_interrupted.push_back(id);
+    if (auto r = fleet.TryAcquire()) fleet_rescues.push_back(*r);
+  });
+  ref.on_interrupted = [&](VmId id) {
+    ref_interrupted.push_back(id);
+    if (auto r = ref.TryAcquire()) ref_rescues.push_back(*r);
+  };
+
+  Rng rng(20261022);
+  int64_t storms = 0;
+  int64_t storm_victims = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t kind = rng.NextBounded(100);
+    if (kind < 15) {
+      const int64_t target = rng.NextInt(0, 40);
+      fleet.SetTarget(target);
+      ref.SetTarget(target);
+    } else if (kind < 35) {
+      const SimTimeMs until = sim.NowMs() + rng.NextInt(0, 4 * kMillisPerMinute);
+      sim.RunUntil(until);
+      ref_sim.RunUntil(until);
+    } else if (kind < 55) {
+      const std::optional<VmId> got = fleet.TryAcquire();
+      ASSERT_EQ(got, ref.TryAcquire());
+    } else if (kind < 70) {
+      std::vector<VmId> busy;
+      for (VmId id = 0; id < ref.num_ids(); ++id) {
+        if (ref.Busy(id)) busy.push_back(id);
+      }
+      if (!busy.empty()) {
+        const VmId id = busy[rng.NextBounded(busy.size())];
+        fleet.Release(id);
+        ref.Release(id);
+      }
+    } else if (kind < 95) {
+      const int64_t ready = fleet.num_ready();
+      int64_t count = 0;
+      switch (rng.NextBounded(4)) {
+        case 0: count = 0; break;
+        case 1: count = 1; break;
+        case 2: count = ready > 1 ? rng.NextInt(1, ready - 1) : 1; break;
+        default: count = ready + rng.NextInt(1, 5); break;
+      }
+      const std::vector<VmId> expected = ref.Victims(count);
+      const int64_t reclaimed = fleet.InterruptN(count);
+      ASSERT_EQ(reclaimed, ref.InterruptN(count));
+      ASSERT_EQ(reclaimed, static_cast<int64_t>(expected.size()));
+      for (VmId id : expected) ASSERT_FALSE(fleet.is_ready(id)) << id;
+      ++storms;
+      storm_victims += reclaimed;
+    } else {
+      ASSERT_EQ(fleet.InterruptOneIdle(), ref.InterruptOneIdle());
+    }
+    ASSERT_EQ(fleet_interrupted, ref_interrupted);
+    ASSERT_EQ(fleet_rescues, ref_rescues);
+    ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesReference(fleet, ref, meter));
+  }
+  // Drain: TerminateAll runs the ready-index probe once more.
+  for (VmId id = 0; id < ref.num_ids(); ++id) {
+    if (!ref.Busy(id)) continue;
+    fleet.Release(id);
+    ref.Release(id);
+  }
+  fleet.TerminateAll();
+  ref.TerminateAll();
+  ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesReference(fleet, ref, meter));
+  EXPECT_EQ(fleet.num_ready(), 0);
+  // The mix reached every path it is meant to cover.
+  EXPECT_GT(storms, 500);
+  EXPECT_GT(storm_victims, 1000);
+  EXPECT_GT(fleet_interrupted.size(), 100u);
+  EXPECT_GT(fleet_rescues.size(), 50u);
+  EXPECT_GT(fleet.total_launch_failures(), 50);
 }
 
 class ElasticPoolTest : public ::testing::Test {
